@@ -11,13 +11,11 @@ from .algebra import (
     IncompleteSubstitutionError,
     MultiIndex,
     NonUnitSeriesError,
-    Rational,
     RingMismatchError,
     Var,
     VarKind,
     atom,
     chern_indices,
-    component_of_weight,
     constant,
     degree_symbol,
     invert_unit_series,
@@ -27,6 +25,7 @@ from .algebra import (
     quotient_chern,
     render,
     source_chern,
+    split_term,
     substitute,
     trim_index,
     xi_scalar,

@@ -31,7 +31,6 @@ from enum import IntEnum
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
-Rational = Fraction
 MultiIndex = tuple  # tuple[int, ...], trailing zeros trimmed
 
 _ZERO = Fraction(0)
@@ -312,11 +311,6 @@ class GradedPolynomial:
     def variables(self) -> set:
         return {v for mono in self._terms for v, _ in mono}
 
-    def max_weight(self) -> int:
-        if not self._terms:
-            return 0
-        return max(monomial_weight(m, self.kappa) for m in self._terms)
-
     def weight_components(self) -> dict:
         """Decompose into homogeneous parts, keyed by weight."""
         parts: dict = {}
@@ -490,6 +484,32 @@ def xi_scalar(index: Iterable[int]) -> GradedPolynomial:
     return atom(xi_symbol(index))
 
 
+def split_term(mono: Monomial, coeff: Coefficient, chern_kind: VarKind | None,
+               hyperplane_var: Var) -> tuple:
+    """Split one term as (Chern multi-index, hyperplane power, scalar).
+
+    The term is c_I * h^j * (scalar symbols) * coeff, with the c_k of family
+    ``chern_kind`` (None when no Chern family belongs to the ring) and h the
+    ``hyperplane_var``.  The returned scalar polynomial carries ``coeff``.
+    Any other variable raises :class:`ValueError`.
+    """
+    hyperplane_kind = hyperplane_var.kind
+    exps: dict = {}
+    power = 0
+    scalars = []
+    for v, e in mono:
+        if v.kind is chern_kind:
+            exps[v.index[0]] = e
+        elif v.kind is hyperplane_kind:
+            power = e
+        elif v.kind is VarKind.XI:
+            scalars.append((v, e))
+        else:
+            raise ValueError(f"variable {var_label(v)} does not belong to this ring")
+    index = trim_index(exps.get(k, 0) for k in range(1, max(exps, default=0) + 1))
+    return index, power, GradedPolynomial({tuple(scalars): coeff})
+
+
 # ---------------------------------------------------------------------------
 # series operations
 
@@ -546,10 +566,6 @@ def substitute(
             term = (term * factor ** e).truncated(cap)
         total = total + term
     return total.truncated(cap)
-
-
-def component_of_weight(p: GradedPolynomial, weight: int) -> GradedPolynomial:
-    return p.component(weight)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,12 @@ Subcommands:
 
 Input documents are strict JSON with every rational given as a string
 "p", "-p" or "p/q" (never a float), so exactness survives the trip through
-the command line.  Exit codes: 0 success, 1 verification failure, 2 input
-error.
+the command line; a key repeated inside one object is an input error.
+
+Exit codes: 0 success, 1 verification failure, 2 input error, 3 internal
+error (an engine fault, never caused by the input).
+
+Run as ``charclass``, ``python -m charclass`` or ``python -m charclass.cli``.
 """
 
 from __future__ import annotations
@@ -28,8 +32,14 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import presets, surface, tables, threefold
-from .algebra import GradedPolynomial, render
-from .context import MapContext, SYMBOLIC, make_context
+from .algebra import (
+    GradedPolynomial,
+    IncompleteSubstitutionError,
+    NonUnitSeriesError,
+    RingMismatchError,
+    render,
+)
+from .context import MapContext, SYMBOLIC, TruncationError, make_context
 from .report import Check, all_passed
 
 SURFACE_KEYS = ["d", "xi1", "xi2", "xi01"]
@@ -48,9 +58,6 @@ class InputError(ValueError):
 class InputDocument:
     kind: str  # "surface" | "threefold"
     chern_data: object  # dict[str, Fraction] or the string "symbolic"
-
-    def required_keys(self) -> list:
-        return SURFACE_KEYS if self.kind == "surface" else THREEFOLD_KEYS
 
     def to_context(self) -> MapContext:
         dims = (2, 3) if self.kind == "surface" else (3, 4)
@@ -89,14 +96,29 @@ def _parse_keyed_rationals(data, required: list, path: str) -> dict:
     return {k: _parse_rational(data[k], f"{path}.{k}") for k in required}
 
 
-def parse_input(text: str) -> InputDocument:
-    """Validate an input document; raises :class:`InputError` with a path."""
+def _unique_keys(pairs: list) -> dict:
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise InputError(f"duplicate key {key!r}")
+        doc[key] = value
+    return doc
+
+
+def _load_object(text: str) -> dict:
+    """Parse a JSON document whose top level must be an object."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
     if not isinstance(doc, dict):
         raise InputError("$: input document must be a JSON object")
+    return doc
+
+
+def parse_input(text: str) -> InputDocument:
+    """Validate an input document; raises :class:`InputError` with a path."""
+    doc = _load_object(text)
     kind = doc.get("kind")
     if kind not in ("surface", "threefold"):
         raise InputError(f"$.kind: expected \"surface\" or \"threefold\", got {kind!r}")
@@ -113,12 +135,7 @@ def parse_input(text: str) -> InputDocument:
 
 
 def _parse_character_input(text: str, kind: str) -> dict:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
-    if not isinstance(doc, dict):
-        raise InputError("$: input document must be a JSON object")
+    doc = _load_object(text)
     if "kind" in doc and doc["kind"] != kind:
         raise InputError(f"$.kind: document says {doc['kind']!r} but --kind is {kind!r}")
     chars = doc.get("characters")
@@ -310,16 +327,11 @@ def run_command(argv: Sequence[str] | None = None, stdin=None, stdout=None, stde
         if args.command == "invert":
             chars = _parse_character_input(_read_input(args, stdin), args.kind)
             if args.kind == "surface":
-                values = surface.surface_invert(chars["d"], chars["eps0"], chars["C"], chars["T"])
-                keys = ["xi1", "xi2", "xi01"]
+                keys, values = SURFACE_KEYS, surface.surface_invert(**chars)
             else:
-                values = threefold.threefold_invert(
-                    chars["d"], chars["mu0"], chars["t"], chars["q"],
-                    chars["s_t"], chars["gamma"], chars["chi_C"],
-                )
-                keys = ["xi1", "xi2", "xi01", "xi3", "xi11", "xi001"]
+                keys, values = THREEFOLD_KEYS, threefold.threefold_invert(**chars)
             table = {"d": str(chars["d"])}
-            table.update({k: _scalar_text(v) for k, v in zip(keys, values)})
+            table.update({k: _scalar_text(v) for k, v in zip(keys[1:], values)})
             if args.json:
                 print(json.dumps({"kind": args.kind, "chern_data": table}, indent=2), file=out)
             else:
@@ -366,6 +378,10 @@ def run_command(argv: Sequence[str] | None = None, stdin=None, stdout=None, stde
             return 0
 
         raise InputError(f"unknown command {args.command!r}")
+    except (RingMismatchError, NonUnitSeriesError, IncompleteSubstitutionError,
+            TruncationError, tables.TableMissError) as exc:
+        print(f"internal error: {exc}", file=err)
+        return 3
     except (InputError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=err)
         return 2
@@ -373,3 +389,7 @@ def run_command(argv: Sequence[str] | None = None, stdin=None, stdout=None, stde
 
 def main() -> None:
     raise SystemExit(run_command())
+
+
+if __name__ == "__main__":
+    main()

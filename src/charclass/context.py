@@ -35,8 +35,11 @@ from .algebra import (
     constant,
     index_digits,
     index_weight,
+    invert_unit_series,
     lift,
     source_chern,
+    split_term,
+    substitute,
     trim_index,
     var_label,
     xi_symbol,
@@ -65,6 +68,23 @@ def parse_xi_key(key) -> MultiIndex:
             return trim_index(int(ch) for ch in key[2:])
         raise ValueError(f"unknown degree-table key {key!r}")
     return trim_index(key)
+
+
+def source_chern_total(m: int) -> GradedPolynomial:
+    """c(TM) = 1 + c_1 + ... + c_m of an m-fold, weight cap m."""
+    return sum((atom(source_chern(k)) for k in range(1, m + 1)), constant(1)).truncated(m)
+
+
+def quotient_chern_classes(m: int, n: int) -> list:
+    """Quotient Chern classes c_1(f) ... c_m(f) of an m-fold mapped to P^n.
+
+    The series quotient of the pulled-back target tangent classes by the
+    source ones, (1 + at)^(n+1) * c(TM)^{-1}, truncated at weight m; entry
+    k-1 of the list is homogeneous of weight k.
+    """
+    at = atom(SOURCE_HYPERPLANE_VAR, cap=m)
+    total = (1 + at) ** (n + 1) * invert_unit_series(source_chern_total(m), m)
+    return [total.component(k) for k in range(1, m + 1)]
 
 
 def _check_scalar(value: GradedPolynomial, label: str) -> GradedPolynomial:
@@ -143,29 +163,12 @@ class MapContext:
         """The pulled-back hyperplane class ``at`` in the source ring."""
         return atom(SOURCE_HYPERPLANE_VAR, cap=self._m)
 
-    def source_chern_total(self) -> GradedPolynomial:
-        """c(TM) = 1 + c_1 + ... + c_m as an abstract source class."""
-        total = constant(1)
-        for k in range(1, self._m + 1):
-            total = total + atom(source_chern(k))
-        return total.truncated(self._m)
-
     # -- the calculus ---------------------------------------------------------
 
     def quotient_chern(self) -> list:
-        """Quotient Chern classes c_1(f) ... c_m(f) as source classes.
-
-        Computed from the series quotient of the pulled-back target tangent
-        classes by the source ones: (1 + at)^(n+1) * c(TM)^{-1}, truncated at
-        weight m; entry k-1 of the list is homogeneous of weight k.
-        """
+        """Quotient Chern classes c_1(f) ... c_m(f) as source classes."""
         if self._quotient is None:
-            from .algebra import invert_unit_series
-
-            total = (1 + self.hyperplane()) ** (self._n + 1) * invert_unit_series(
-                self.source_chern_total(), self._m
-            )
-            self._quotient = [total.component(k) for k in range(1, self._m + 1)]
+            self._quotient = quotient_chern_classes(self._m, self._n)
         return list(self._quotient)
 
     def pushforward(self, x: GradedPolynomial) -> GradedPolynomial:
@@ -178,46 +181,17 @@ class MapContext:
         total = GradedPolynomial(cap=self._n)
         a = atom(TARGET_HYPERPLANE_VAR, cap=self._n)
         for mono, coeff in x.truncated(self._m).items():
-            exps: dict = {}
-            hyper = 0
-            scalar = constant(coeff)
-            for v, e in mono:
-                if v.kind is VarKind.SOURCE_CHERN:
-                    exps[v.index[0]] = e
-                elif v.kind is VarKind.SOURCE_HYPERPLANE:
-                    hyper = e
-                elif v.kind is VarKind.XI:
-                    scalar = scalar * atom(v) ** e
-                else:
-                    raise ValueError(
-                        f"cannot push forward variable {var_label(v)}; not a source class"
-                    )
-            index = trim_index(
-                exps.get(k, 0) for k in range(1, max(exps, default=0) + 1)
+            index, hyper, scalar = split_term(
+                mono, coeff, VarKind.SOURCE_CHERN, SOURCE_HYPERPLANE_VAR
             )
             power = index_weight(index) + hyper + self.kappa
-            if power > self._n:
-                continue
-            total = total + scalar * self._xi[index] * a ** power
+            if power <= self._n:
+                total = total + scalar * self._xi[index] * a ** power
         return total
 
     def pullback(self, y: GradedPolynomial) -> GradedPolynomial:
         """Pull a target class back to the source: a -> at, truncated at m."""
-        at = self.hyperplane()
-        total = GradedPolynomial(cap=self._m)
-        for mono, coeff in y.items():
-            term = constant(coeff)
-            for v, e in mono:
-                if v.kind is VarKind.TARGET_HYPERPLANE:
-                    term = term * at ** e
-                elif v.kind is VarKind.XI:
-                    term = term * atom(v) ** e
-                else:
-                    raise ValueError(
-                        f"cannot pull back variable {var_label(v)}; not a target class"
-                    )
-            total = total + term
-        return total.truncated(self._m)
+        return substitute(y, {TARGET_HYPERPLANE_VAR: self.hyperplane()}, cap=self._m)
 
     def landweber_novikov(self, index) -> GradedPolynomial:
         """s_I(f): the pushed-forward Chern monomial of quotient classes."""
@@ -241,8 +215,6 @@ class MapContext:
         Landweber-Novikov variables the pullbacks of the corresponding
         pushed-forward classes; the result is a source class of weight cap m.
         """
-        from .algebra import substitute
-
         if ac.kappa != self.kappa:
             raise RingMismatchError(
                 f"class {ac.name} lives at kappa={ac.kappa}, context has {self.kappa}"
@@ -264,27 +236,11 @@ class MapContext:
         """
         total = GradedPolynomial()
         for mono, coeff in x.items():
-            exps: dict = {}
-            scalar = constant(coeff)
-            weight = 0
-            for v, e in mono:
-                if v.kind is VarKind.SOURCE_CHERN:
-                    exps[v.index[0]] = e
-                    weight += v.index[0] * e
-                elif v.kind is VarKind.SOURCE_HYPERPLANE:
-                    weight += e
-                elif v.kind is VarKind.XI:
-                    scalar = scalar * atom(v) ** e
-                else:
-                    raise ValueError(
-                        f"cannot integrate variable {var_label(v)}; not a source class"
-                    )
-            if weight != self._m:
-                continue
-            index = trim_index(
-                exps.get(k, 0) for k in range(1, max(exps, default=0) + 1)
+            index, hyper, scalar = split_term(
+                mono, coeff, VarKind.SOURCE_CHERN, SOURCE_HYPERPLANE_VAR
             )
-            total = total + scalar * self._xi[index]
+            if index_weight(index) + hyper == self._m:
+                total = total + scalar * self._xi[index]
         return total
 
     def project(self) -> "MapContext":
@@ -308,7 +264,7 @@ class MapContext:
                 f"series {series.name} is valid to weight {series.valid_to_weight}, "
                 f"needed {self._m}"
             )
-        return self.integrate(self.source_chern_total() * self.evaluate(series))
+        return self.integrate(source_chern_total(self._m) * self.evaluate(series))
 
 
 def make_context(source_dim: int, target_dim: int, xi) -> MapContext:

@@ -21,28 +21,27 @@ from __future__ import annotations
 from .algebra import (
     GradedPolynomial,
     SOURCE_HYPERPLANE_VAR,
-    VarKind,
+    ZERO,
     atom,
     chern_indices,
     constant,
     degree_symbol,
+    index_weight,
     invert_unit_series,
     lift,
+    source_chern,
+    split_term,
 )
 from .context import MapContext, Scalar, make_context, xi_label
 
 
 def _hyperplane_coefficients(series: GradedPolynomial, top: int) -> list:
     """Scalar coefficients of h^0 ... h^top in a series over the h-line."""
-    coeffs = []
-    for k in range(top + 1):
-        part = GradedPolynomial()
-        for mono, coeff in series.component(k).items():
-            stripped = tuple(
-                (v, e) for v, e in mono if v.kind is not VarKind.SOURCE_HYPERPLANE
-            )
-            part = part + GradedPolynomial({stripped: coeff})
-        coeffs.append(part)
+    coeffs = [ZERO] * (top + 1)
+    for mono, coeff in series.items():
+        _, power, scalar = split_term(mono, coeff, None, SOURCE_HYPERPLANE_VAR)
+        if power <= top:
+            coeffs[power] = coeffs[power] + scalar
     return coeffs
 
 
@@ -59,11 +58,9 @@ def _xi_from_line_data(
     table = {}
     for index in chern_indices(m):
         value = constant(1)
-        weight = 0
         for k, e in enumerate(index, start=1):
             value = value * gammas[k] ** e
-            weight += k * e
-        table[xi_label(index)] = value * pullback_multiple ** (m - weight) * top_degree
+        table[xi_label(index)] = value * pullback_multiple ** (m - index_weight(index)) * top_degree
     return table
 
 
@@ -75,15 +72,23 @@ def veronese_xi(source_dim: int, twist: int = 2) -> dict:
     return _xi_from_line_data(m, tangent, constant(twist), constant(1))
 
 
+def _adjunction(m: int, degree) -> tuple:
+    """(d, h, c(TM)) of a smooth degree-d hypersurface M^m: c(TM) = (1+h)^(m+2)/(1+dh).
+
+    ``degree=None`` keeps the degree as the scalar symbol ``d``.
+    """
+    d = degree_symbol() if degree is None else lift(degree)
+    h = atom(SOURCE_HYPERPLANE_VAR, cap=m)
+    return d, h, (1 + h) ** (m + 2) * invert_unit_series(1 + d * h, m)
+
+
 def hypersurface_xi(source_dim: int, degree=None) -> dict:
     """Adjunction degree table of a smooth hypersurface of given degree.
 
     ``degree=None`` keeps the degree as the scalar symbol ``d``.
     """
     m = int(source_dim)
-    d = degree_symbol() if degree is None else lift(degree)
-    h = atom(SOURCE_HYPERPLANE_VAR, cap=m)
-    tangent = (1 + h) ** (m + 2) * invert_unit_series(1 + d * h, m)
+    d, _, tangent = _adjunction(m, degree)
     return _xi_from_line_data(m, tangent, constant(1), d)
 
 
@@ -95,12 +100,8 @@ def hypersurface_tangent_images(source_dim: int, degree=None) -> dict:
     a power of ``at``.  Applying this map to an evaluated multiple-point
     class exhibits its identical vanishing on embeddings.
     """
-    from .algebra import SOURCE_HYPERPLANE_VAR, source_chern
-
     m = int(source_dim)
-    d = degree_symbol() if degree is None else lift(degree)
-    h = atom(SOURCE_HYPERPLANE_VAR, cap=m)
-    tangent = (1 + h) ** (m + 2) * invert_unit_series(1 + d * h, m)
+    _, h, tangent = _adjunction(m, degree)
     gammas = _hyperplane_coefficients(tangent, m)
     images = {source_chern(k): gammas[k] * h ** k for k in range(1, m + 1)}
     images[SOURCE_HYPERPLANE_VAR] = h
@@ -158,19 +159,11 @@ def preset_context(name: str, degree=None):
 
 def preset_document(name: str, degree=None) -> dict:
     """Preset as an input document (numeric only, rationals as strings)."""
-    kind, builder, needs_degree = PRESETS.get(name, (None, None, None))
-    if kind is None:
-        raise ValueError(f"unknown preset {name!r}; choose from {', '.join(preset_names())}")
-    if needs_degree:
-        if degree is None:
-            raise ValueError(f"preset {name!r} needs --degree")
-        if int(degree) < 1:
-            raise ValueError("degree must be a positive integer")
-        ctx = builder(int(degree))
-    else:
-        if degree is not None:
-            raise ValueError(f"preset {name!r} does not take a degree")
-        ctx = builder()
+    kind, ctx = preset_context(name, degree)
+    if not ctx.is_numeric():
+        raise ValueError(f"preset {name!r} needs --degree")
+    if degree is not None and int(degree) < 1:
+        raise ValueError("degree must be a positive integer")
     data = {
         xi_label(index): str(value.constant_value())
         for index, value in sorted(ctx.xi.items(), key=lambda kv: (len(kv[0]), kv[0]))

@@ -15,8 +15,8 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from . import tables
-from .algebra import GradedPolynomial, VarKind, atom, lift, render
-from .context import MapContext, Scalar
+from .algebra import TARGET_HYPERPLANE_VAR, GradedPolynomial, lift, render, split_term
+from .context import SYMBOLIC, MapContext, Scalar, make_context
 from .report import Check
 
 
@@ -24,15 +24,7 @@ def target_coefficient(y: GradedPolynomial, power: int) -> Scalar:
     """Scalar coefficient of a^power in a target-ring class."""
     total = GradedPolynomial()
     for mono, coeff in y.items():
-        a_exp = 0
-        scalar = GradedPolynomial({(): coeff})
-        for v, e in mono:
-            if v.kind is VarKind.TARGET_HYPERPLANE:
-                a_exp = e
-            elif v.kind is VarKind.XI:
-                scalar = scalar * atom(v) ** e
-            else:
-                raise ValueError("not a target class")
+        _, a_exp, scalar = split_term(mono, coeff, None, TARGET_HYPERPLANE_VAR)
         if a_exp == power:
             total = total + scalar
     return total
@@ -254,8 +246,6 @@ def surface_typo_diagnostics() -> list:
     it differs from the inconsistent line in exactly the known way, so any
     drift in either direction fails the suite.
     """
-    from .context import SYMBOLIC, make_context
-
     ctx = make_context(2, 3, SYMBOLIC)
     ch = surface_characters(ctx)
     d = ctx.xi_scalar(())

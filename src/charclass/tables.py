@@ -10,6 +10,7 @@ table row; the file is the ground truth and is covered by golden tests.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 from importlib import resources
 from typing import Iterator
@@ -89,13 +90,7 @@ def ssm_series(name: str, kappa: int) -> AbstractClass:
         entry = _registry()[(_SSM_PREFIX + name, kappa)]
     except KeyError:
         raise TableMissError(f"no Euler series for {name!r} at kappa={kappa}") from None
-    return AbstractClass(
-        name=name,
-        kappa=entry.kappa,
-        codim=entry.codim,
-        body=entry.body,
-        valid_to_weight=entry.valid_to_weight,
-    )
+    return replace(entry, name=name)
 
 
 def entries() -> list:

@@ -29,10 +29,9 @@ from .algebra import (
     lift,
     render,
     source_chern,
-    trim_index,
-    var_label,
+    split_term,
 )
-from .context import MapContext, Scalar
+from .context import SYMBOLIC, MapContext, Scalar, make_context, quotient_chern_classes
 from .report import Check
 
 
@@ -76,21 +75,10 @@ def _gysin_push(y: GradedPolynomial, table: dict, cap: int) -> GradedPolynomial:
     at = atom(SOURCE_HYPERPLANE_VAR)
     total = GradedPolynomial(cap=cap)
     for mono, coeff in y.items():
-        exps: dict = {}
-        factor = GradedPolynomial({(): coeff})
-        for v, e in mono:
-            if v.kind is VarKind.SOURCE_CHERN:
-                exps[v.index[0]] = e
-            elif v.kind is VarKind.SOURCE_HYPERPLANE:
-                factor = factor * at ** e
-            elif v.kind is VarKind.XI:
-                factor = factor * atom(v) ** e
-            else:
-                raise ValueError(f"cannot push variable {var_label(v)}")
-        key = trim_index(exps.get(k, 0) for k in range(1, max(exps, default=0) + 1))
+        key, hyper, scalar = split_term(mono, coeff, VarKind.SOURCE_CHERN, SOURCE_HYPERPLANE_VAR)
         if key not in table:
             raise ValueError(f"no pushforward image for Chern monomial {key}")
-        total = total + factor * table[key]
+        total = total + scalar * at ** hyper * table[key]
     return total.truncated(cap)
 
 
@@ -129,12 +117,7 @@ class CriticalSurfaceRing:
         Computed on the critical surface itself: the quotient of the plane
         tangent classes by the surface's own, truncated at its dimension.
         """
-        from .algebra import invert_unit_series
-
-        at = atom(SOURCE_HYPERPLANE_VAR, cap=2)
-        c_surface = 1 + atom(source_chern(1)) + atom(source_chern(2))
-        total = (1 + at) ** 3 * invert_unit_series(c_surface.truncated(2), 2)
-        return total.component(1), total.component(2)
+        return tuple(quotient_chern_classes(2, 2))
 
 
 def critical_surface_calculus(projected_ctx: MapContext) -> CriticalSurfaceRing:
@@ -443,8 +426,6 @@ def threefold_typo_diagnostics() -> list:
     projection chain settles the sign.  The diagnostic pins the exact
     difference so any other drift fails.
     """
-    from .context import SYMBOLIC, make_context
-
     ctx = make_context(3, 4, SYMBOLIC)
     ch = threefold_characters(ctx)
     d, x1, _, x01, _, _, _ = _xi7(ctx)

@@ -13,10 +13,11 @@ from charclass.algebra import (
     IncompleteSubstitutionError,
     NonUnitSeriesError,
     RingMismatchError,
+    DEGREE_VAR,
     SOURCE_HYPERPLANE_VAR,
+    VarKind,
     atom,
     chern_indices,
-    component_of_weight,
     constant,
     degree_symbol,
     invert_unit_series,
@@ -25,6 +26,7 @@ from charclass.algebra import (
     quotient_chern,
     render,
     source_chern,
+    split_term,
     substitute,
     trim_index,
     index_weight,
@@ -169,11 +171,24 @@ class TestSubstitute:
         assert result == AT ** 2
 
 
+class TestSplitTerm:
+    def test_parts(self):
+        c1, c3 = source_chern(1), source_chern(3)
+        mono = ((c1, 2), (c3, 1), (SOURCE_HYPERPLANE_VAR, 2), (DEGREE_VAR, 1))
+        index, power, scalar = split_term(mono, Fraction(3, 2), VarKind.SOURCE_CHERN,
+                                          SOURCE_HYPERPLANE_VAR)
+        assert (index, power, scalar) == ((2, 0, 1), 2, Fraction(3, 2) * D)
+
+    def test_foreign_variable_raises(self):
+        with pytest.raises(ValueError, match="c1"):
+            split_term(((quotient_chern(1), 1),), 1, VarKind.SOURCE_CHERN, SOURCE_HYPERPLANE_VAR)
+
+
 class TestComponentOfWeight:
     def test_simple(self):
         p = 1 + 4 * AT + 6 * AT ** 2
-        assert component_of_weight(p, 1) == 4 * AT
-        assert component_of_weight(p, 5).is_zero()
+        assert p.component(1) == 4 * AT
+        assert p.component(5).is_zero()
 
     def test_decomposition_sums_back(self):
         rng = random.Random(3)

@@ -4,11 +4,22 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import charclass
+from charclass import surface
+from charclass.algebra import IncompleteSubstitutionError, NonUnitSeriesError, RingMismatchError
 from charclass.cli import InputError, parse_input, run_command
+from charclass.context import TruncationError
+from charclass.tables import TableMissError
+
+GOLDEN_VERIFY = Path(__file__).parent / "golden" / "verify_all.txt"
 
 VERONESE_DOC = json.dumps(
     {
@@ -65,6 +76,10 @@ class TestParseInput:
     def test_bad_json_position(self):
         with pytest.raises(InputError, match="line 1 column"):
             parse_input("{nope}")
+
+    def test_duplicate_key_rejected(self):
+        with pytest.raises(InputError, match="duplicate key 'kind'"):
+            parse_input('{"kind":"threefold","kind":"surface","chern_data":"symbolic"}')
 
 
 class TestPipelines:
@@ -141,6 +156,11 @@ class TestInvert:
         code, _, err = run(["invert", "--kind", "surface"], stdin_text=doc)
         assert code == 2 and "missing keys" in err
 
+    def test_duplicate_character(self):
+        doc = '{"kind":"surface","characters":{"d":"4","eps0":"3","C":"6","T":"1","T":"2"}}'
+        code, _, err = run(["invert", "--kind", "surface"], stdin_text=doc)
+        assert code == 2 and "duplicate key 'T'" in err
+
 
 class TestVerify:
     def test_all_suites_pass(self):
@@ -148,6 +168,11 @@ class TestVerify:
         assert code == 0
         assert "checks passed" in out
         assert "FAIL" not in out
+
+    def test_default_suite_matches_golden(self):
+        code, out, _ = run(["verify"])
+        assert code == 0
+        assert out == GOLDEN_VERIFY.read_text(encoding="utf-8")
 
     def test_tables_suite(self):
         code, out, _ = run(["verify", "--suite", "tables"])
@@ -220,3 +245,30 @@ class TestExitCodes:
     def test_bad_flag_is_2(self):
         code, _, _ = run(["surface", "--bogus"])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "fault",
+        [RingMismatchError, NonUnitSeriesError, IncompleteSubstitutionError,
+         TruncationError, TableMissError],
+    )
+    def test_engine_fault_is_3(self, monkeypatch, fault):
+        def broken(ctx):
+            raise fault("engine fault")
+
+        monkeypatch.setattr(surface, "surface_characters", broken)
+        code, _, err = run(["surface"], stdin_text=ROMAN_DOC)
+        assert code == 3
+        assert err.startswith("internal error:") and "engine fault" in err
+
+
+@pytest.mark.parametrize("module", ["charclass", "charclass.cli"])
+def test_python_m_entry_point(module):
+    src = str(Path(charclass.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "verify", "--suite", "tables"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "36/36 checks passed"

@@ -15,11 +15,14 @@ from charclass.algebra import (
     atom,
     constant,
     degree_symbol,
+    quotient_chern,
     source_chern,
     substitute,
     xi_scalar,
 )
 from charclass.context import SYMBOLIC, TruncationError, make_context
+from charclass.surface import target_coefficient
+from charclass.threefold import CriticalSurfaceRing
 from charclass.presets import (
     roman_surface_context,
     smooth_surface_context,
@@ -140,6 +143,23 @@ class TestGysinMaps:
             push = ctx.pushforward(x)
             top = push.coefficient(((TARGET_HYPERPLANE_VAR, 3),))
             assert ctx.integrate(x) == top
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: make_context(2, 3, SYMBOLIC).pushforward(atom(quotient_chern(1))),
+            lambda: make_context(2, 3, SYMBOLIC).pushforward(A),
+            lambda: make_context(2, 3, SYMBOLIC).integrate(A),
+            lambda: make_context(2, 3, SYMBOLIC).pullback(AT),
+            lambda: CriticalSurfaceRing(make_context(3, 4, SYMBOLIC).project()).push(A),
+            lambda: target_coefficient(C1, 1),
+        ],
+        ids=["pushforward-quotient-c1", "pushforward-a", "integrate-a", "pullback-at",
+             "critical-push-a", "target-coefficient-c1"],
+    )
+    def test_foreign_variable_rejected(self, call):
+        with pytest.raises(ValueError):
+            call()
 
 
 class TestLandweberNovikov:
