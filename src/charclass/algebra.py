@@ -16,7 +16,9 @@ families cover everything the calculus needs:
 
 A polynomial may carry a weight cap.  Terms heavier than the cap are dropped
 eagerly at every operation, which is how truncated series such as total
-Chern classes are modelled.  Coefficients are :class:`fractions.Fraction`;
+Chern classes are modelled.  Coefficients are exact rationals, stored as
+``int`` when integral and as :class:`fractions.Fraction` otherwise, so every
+value has one stored form; floats are refused with :class:`TypeError` and
 nothing here ever rounds.
 
 All values are immutable after construction and every operation is pure, so
@@ -29,13 +31,9 @@ import re
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
 MultiIndex = tuple  # tuple[int, ...], trailing zeros trimmed
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 class RingMismatchError(ValueError):
     """Operands use Landweber-Novikov variables with different kappa."""
@@ -118,12 +116,12 @@ class VarKind(IntEnum):
     XI = 5
 
 
-@dataclass(frozen=True, order=True)
-class Var:
+class Var(NamedTuple):
     """A single graded variable: a kind plus an index payload.
 
     Chern-type kinds store ``(k,)``; the hyperplane kinds store ``()``;
-    Landweber-Novikov and scalar symbols store a multi-index.
+    Landweber-Novikov and scalar symbols store a multi-index.  Variables
+    sort by (kind, index).
     """
 
     kind: VarKind
@@ -155,19 +153,25 @@ TARGET_HYPERPLANE_VAR = Var(VarKind.TARGET_HYPERPLANE)
 DEGREE_VAR = Var(VarKind.XI)  # the scalar symbol `d`
 
 
+_LN = VarKind.LANDWEBER_NOVIKOV
+_XI = VarKind.XI
+_HYPERPLANE_KINDS = (VarKind.SOURCE_HYPERPLANE, VarKind.TARGET_HYPERPLANE)
+
+
 def var_weight(v: Var, kappa: int | None = None) -> int:
     """Grading weight of a variable; Landweber-Novikov weights need kappa."""
-    if v.kind in (VarKind.QUOTIENT_CHERN, VarKind.SOURCE_CHERN):
-        return v.index[0]
-    if v.kind in (VarKind.SOURCE_HYPERPLANE, VarKind.TARGET_HYPERPLANE):
-        return 1
-    if v.kind is VarKind.LANDWEBER_NOVIKOV:
+    kind = v.kind
+    if kind is _XI:
+        return 0
+    if kind is _LN:
         if kappa is None:
             raise RingMismatchError(
                 "Landweber-Novikov variable used without a ring kappa"
             )
         return kappa + index_weight(v.index)
-    return 0  # XI scalars
+    if kind in _HYPERPLANE_KINDS:
+        return 1
+    return v.index[0]  # Chern classes
 
 
 def var_label(v: Var) -> str:
@@ -204,7 +208,10 @@ def _normalize_monomial(pairs: Iterable) -> Monomial:
 
 
 def monomial_weight(mono: Monomial, kappa: int | None = None) -> int:
-    return sum(var_weight(v, kappa) * e for v, e in mono)
+    total = 0
+    for v, e in mono:
+        total += var_weight(v, kappa) * e
+    return total
 
 
 def _monomial_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -218,7 +225,38 @@ def _monomial_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(sorted(merged.items()))
 
 
+def _has_ln(terms) -> bool:
+    return any(v.kind is _LN for mono in terms for v, _ in mono)
+
+
 Coefficient = Union[int, Fraction]
+
+
+def _coefficient(value) -> Coefficient:
+    """The stored form of an exact number: ``int`` if integral, else Fraction."""
+    if type(value) is int:
+        return value
+    if isinstance(value, float):
+        raise TypeError(f"coefficient {value!r} is a float; pass an int or a Fraction")
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def _join_kappa(k1: int | None, k2: int | None) -> int | None:
+    if k1 is None:
+        return k2
+    if k2 is None or k2 == k1:
+        return k1
+    raise RingMismatchError(f"mixing rings with kappa={k1} and kappa={k2}")
+
+
+def _join_cap(c1: int | None, c2: int | None) -> int | None:
+    if c1 is None:
+        return c2
+    if c2 is None:
+        return c1
+    return min(c1, c2)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +266,8 @@ Coefficient = Union[int, Fraction]
 class GradedPolynomial:
     """Sparse multivariate polynomial with weighted variables.
 
-    ``terms`` maps canonical monomials to nonzero Fractions.  ``cap`` is an
+    ``terms`` maps canonical monomials to nonzero coefficients, stored as
+    ``int`` when integral and as Fraction otherwise.  ``cap`` is an
     optional weight bound: terms above it are dropped at construction and the
     bound propagates through arithmetic as the minimum of the operand caps.
     ``kappa`` is stored exactly when a Landweber-Novikov variable occurs and
@@ -251,37 +290,52 @@ class GradedPolynomial:
         items = terms.items() if isinstance(terms, Mapping) else (terms or ())
         acc: dict = {}
         for mono, coeff in items:
-            coeff = Fraction(coeff)
+            coeff = _coefficient(coeff)
             if not coeff:
                 continue
             mono = _normalize_monomial(mono)
-            new = acc.get(mono, _ZERO) + coeff
+            new = acc.get(mono, 0) + coeff
             if new:
                 acc[mono] = new
             else:
                 acc.pop(mono, None)
-        has_ln = any(
-            v.kind is VarKind.LANDWEBER_NOVIKOV for mono in acc for v, _ in mono
-        )
-        if has_ln and kappa is None:
+        if kappa is None and _has_ln(acc):
             raise RingMismatchError(
                 "polynomial with Landweber-Novikov variables needs a kappa"
             )
-        object.__setattr__(self, "kappa", kappa if has_ln else None)
         if cap is not None:
             cap = int(cap)
             if cap < 0:
                 raise ValueError("weight cap must be non-negative")
-            acc = {
-                m: c for m, c in acc.items() if monomial_weight(m, self.kappa) <= cap
-            }
-            # dropping terms may remove the last LN variable; renormalise
-            if self.kappa is not None and not any(
-                v.kind is VarKind.LANDWEBER_NOVIKOV for mono in acc for v, _ in mono
-            ):
-                object.__setattr__(self, "kappa", None)
-        object.__setattr__(self, "cap", cap)
-        object.__setattr__(self, "_terms", acc)
+        self._fill(acc, cap, kappa, cap is None)
+
+    @classmethod
+    def _trusted(
+        cls, terms: Mapping, cap: int | None = None, kappa: int | None = None,
+        capped: bool = False,
+    ) -> "GradedPolynomial":
+        """Build from terms that are already canonical, skipping validation.
+
+        ``terms`` maps canonical monomials to int or Fraction coefficients,
+        as the results of arithmetic on polynomials do.  Zero coefficients
+        are dropped, integral Fractions stored as int, terms above ``cap``
+        dropped (unless ``capped`` says none are) and kappa normalised as in
+        the public constructor.
+        """
+        self = object.__new__(cls)
+        self._fill(terms, cap, kappa, capped or cap is None)
+        return self
+
+    def _fill(self, terms: Mapping, cap: int | None, kappa: int | None, capped: bool) -> None:
+        acc = {m: c.numerator if c.denominator == 1 else c for m, c in terms.items() if c}
+        if not capped:
+            acc = {m: c for m, c in acc.items() if monomial_weight(m, kappa) <= cap}
+        # dropping terms may remove the last LN variable; renormalise
+        if kappa is not None and not _has_ln(acc):
+            kappa = None
+        _set_terms(self, acc)
+        _set_cap(self, cap)
+        _set_kappa(self, kappa)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
         raise AttributeError("GradedPolynomial is immutable")
@@ -295,18 +349,18 @@ class GradedPolynomial:
         return len(self._terms)
 
     def coefficient(self, mono: Iterable) -> Fraction:
-        return self._terms.get(_normalize_monomial(mono), _ZERO)
+        return Fraction(self._terms.get(_normalize_monomial(mono), 0))
 
     def is_zero(self) -> bool:
         return not self._terms
 
     def is_constant(self) -> bool:
-        return all(not mono for mono in self._terms)
+        return not self._terms or (len(self._terms) == 1 and () in self._terms)
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError(f"{self} is not a constant")
-        return self._terms.get((), _ZERO)
+        return Fraction(self._terms.get((), 0))
 
     def variables(self) -> set:
         return {v for mono in self._terms for v, _ in mono}
@@ -317,7 +371,7 @@ class GradedPolynomial:
         for mono, coeff in self._terms.items():
             parts.setdefault(monomial_weight(mono, self.kappa), {})[mono] = coeff
         return {
-            w: GradedPolynomial(ts, cap=self.cap, kappa=self.kappa)
+            w: GradedPolynomial._trusted(ts, self.cap, self.kappa, True)
             for w, ts in sorted(parts.items())
         }
 
@@ -328,7 +382,7 @@ class GradedPolynomial:
             for m, c in self._terms.items()
             if monomial_weight(m, self.kappa) == weight
         }
-        return GradedPolynomial(ts, cap=self.cap, kappa=self.kappa)
+        return GradedPolynomial._trusted(ts, self.cap, self.kappa, True)
 
     def is_homogeneous(self, weight: int) -> bool:
         return all(
@@ -337,80 +391,85 @@ class GradedPolynomial:
 
     # -- arithmetic ---------------------------------------------------------
 
-    @staticmethod
-    def _coerce(value) -> "GradedPolynomial":
-        if isinstance(value, GradedPolynomial):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return GradedPolynomial({(): Fraction(value)})
-        return NotImplemented  # type: ignore[return-value]
+    def __eq__(self, other) -> bool:
+        if isinstance(other, GradedPolynomial):
+            return self._terms == other._terms
+        if isinstance(other, (int, Fraction)):
+            return self._terms == ({(): other} if other else {})
+        return NotImplemented
 
-    def _join_kappa(self, other: "GradedPolynomial") -> int | None:
-        if self.kappa is None:
-            return other.kappa
-        if other.kappa is None or other.kappa == self.kappa:
-            return self.kappa
-        raise RingMismatchError(
-            f"mixing rings with kappa={self.kappa} and kappa={other.kappa}"
+    def _plus(self, other, sign: int) -> "GradedPolynomial":
+        """self + sign * other, for sign 1 or -1."""
+        if not isinstance(other, GradedPolynomial):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            acc = dict(self._terms)
+            acc[()] = acc.get((), 0) + sign * other
+            return GradedPolynomial._trusted(acc, self.cap, self.kappa, True)
+        kappa = _join_kappa(self.kappa, other.kappa)
+        acc = dict(self._terms)
+        get = acc.get
+        for mono, coeff in other._terms.items():
+            acc[mono] = get(mono, 0) + (coeff if sign > 0 else -coeff)
+        return GradedPolynomial._trusted(
+            acc, _join_cap(self.cap, other.cap), kappa, self.cap == other.cap
         )
 
-    def _join_cap(self, other: "GradedPolynomial") -> int | None:
-        if self.cap is None:
-            return other.cap
-        if other.cap is None:
-            return self.cap
-        return min(self.cap, other.cap)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = GradedPolynomial._coerce(other)
-        if not isinstance(other, GradedPolynomial):
-            return NotImplemented
-        return self._terms == other._terms
-
     def __add__(self, other) -> "GradedPolynomial":
-        other = GradedPolynomial._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        kappa = self._join_kappa(other)
-        acc = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            acc[mono] = acc.get(mono, _ZERO) + coeff
-        return GradedPolynomial(acc, cap=self._join_cap(other), kappa=kappa)
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "GradedPolynomial":
-        return GradedPolynomial(
-            {m: -c for m, c in self._terms.items()}, cap=self.cap, kappa=self.kappa
+        return GradedPolynomial._trusted(
+            {m: -c for m, c in self._terms.items()}, self.cap, self.kappa, True
         )
 
     def __pos__(self) -> "GradedPolynomial":
         return self
 
     def __sub__(self, other) -> "GradedPolynomial":
-        other = GradedPolynomial._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other) -> "GradedPolynomial":
-        other = GradedPolynomial._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
+        return (-self)._plus(other, 1)
 
     def __mul__(self, other) -> "GradedPolynomial":
-        other = GradedPolynomial._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        kappa = self._join_kappa(other)
-        acc: dict = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                mono = _monomial_mul(m1, m2)
-                acc[mono] = acc.get(mono, _ZERO) + c1 * c2
-        return GradedPolynomial(acc, cap=self._join_cap(other), kappa=kappa)
+        if not isinstance(other, GradedPolynomial):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            return GradedPolynomial._trusted(
+                {m: c * other for m, c in self._terms.items()}, self.cap, self.kappa, True
+            )
+        kappa = _join_kappa(self.kappa, other.kappa)
+        cap = _join_cap(self.cap, other.cap)
+        left, right = self._terms, other._terms
+        if len(right) == 1 and () in right:  # scaling by a constant
+            k = right[()]
+            acc = {m: c * k for m, c in left.items()}
+            return GradedPolynomial._trusted(acc, cap, kappa, self.cap == cap)
+        if len(left) == 1 and () in left:
+            k = left[()]
+            acc = {m: k * c for m, c in right.items()}
+            return GradedPolynomial._trusted(acc, cap, kappa, other.cap == cap)
+        acc = {}
+        get = acc.get
+        if cap is None:
+            pairs = right.items()
+            for m1, c1 in left.items():
+                for m2, c2 in pairs:
+                    mono = _monomial_mul(m1, m2)
+                    acc[mono] = get(mono, 0) + c1 * c2
+        else:
+            # weights add under multiplication, so over-cap products are skipped
+            weighed = [(m2, c2, monomial_weight(m2, kappa)) for m2, c2 in right.items()]
+            for m1, c1 in left.items():
+                room = cap - monomial_weight(m1, kappa)
+                for m2, c2, w2 in weighed:
+                    if w2 <= room:
+                        mono = _monomial_mul(m1, m2)
+                        acc[mono] = get(mono, 0) + c1 * c2
+        return GradedPolynomial._trusted(acc, cap, kappa, True)
 
     __rmul__ = __mul__
 
@@ -422,14 +481,18 @@ class GradedPolynomial:
         if isinstance(other, (int, Fraction)):
             if not other:
                 raise ZeroDivisionError("division of polynomial by zero")
-            return self * (_ONE / Fraction(other))
+            return self * (1 / Fraction(other))
         return NotImplemented
 
     def __pow__(self, power: int) -> "GradedPolynomial":
         power = int(power)
         if power < 0:
             raise ValueError("negative powers are not defined here")
-        result = GradedPolynomial({(): _ONE}, cap=self.cap, kappa=None)
+        if power and len(self._terms) == 1:  # a single term: scale its exponents
+            (mono, coeff), = self._terms.items()
+            mono = tuple((v, e * power) for v, e in mono)
+            return GradedPolynomial._trusted({mono: coeff ** power}, self.cap, self.kappa)
+        result = GradedPolynomial._trusted({(): 1}, self.cap, None, True)
         base = self
         while power:
             if power & 1:
@@ -440,7 +503,14 @@ class GradedPolynomial:
         return result
 
     def truncated(self, cap: int | None) -> "GradedPolynomial":
-        return GradedPolynomial(self._terms, cap=cap, kappa=self.kappa)
+        if cap == self.cap:
+            return self
+        if cap is not None:
+            cap = int(cap)
+            if cap < 0:
+                raise ValueError("weight cap must be non-negative")
+        capped = cap is None or (self.cap is not None and cap >= self.cap)
+        return GradedPolynomial._trusted(self._terms, cap, self.kappa, capped)
 
     def sorted_items(self) -> list:
         """Terms in canonical order: by total weight, then by monomial."""
@@ -456,8 +526,14 @@ class GradedPolynomial:
         return f"GradedPolynomial({render(self)})"
 
 
+# slot setters, bypassing the immutability guard of __setattr__
+_set_terms = GradedPolynomial._terms.__set__
+_set_cap = GradedPolynomial.cap.__set__
+_set_kappa = GradedPolynomial.kappa.__set__
+
+
 def constant(value: Coefficient) -> GradedPolynomial:
-    return GradedPolynomial({(): Fraction(value)})
+    return GradedPolynomial({(): value})
 
 
 ZERO = GradedPolynomial()
@@ -466,7 +542,7 @@ ONE = constant(1)
 
 def atom(v: Var, *, kappa: int | None = None, cap: int | None = None) -> GradedPolynomial:
     """The polynomial consisting of a single variable."""
-    return GradedPolynomial({((v, 1),): _ONE}, kappa=kappa, cap=cap)
+    return GradedPolynomial({((v, 1),): 1}, kappa=kappa, cap=cap)
 
 
 def lift(value) -> GradedPolynomial:
@@ -502,12 +578,12 @@ def split_term(mono: Monomial, coeff: Coefficient, chern_kind: VarKind | None,
             exps[v.index[0]] = e
         elif v.kind is hyperplane_kind:
             power = e
-        elif v.kind is VarKind.XI:
+        elif v.kind is _XI:
             scalars.append((v, e))
         else:
             raise ValueError(f"variable {var_label(v)} does not belong to this ring")
-    index = trim_index(exps.get(k, 0) for k in range(1, max(exps, default=0) + 1))
-    return index, power, GradedPolynomial({tuple(scalars): coeff})
+    index = tuple(exps.get(k, 0) for k in range(1, max(exps) + 1)) if exps else ()
+    return index, power, GradedPolynomial._trusted({tuple(scalars): coeff})
 
 
 # ---------------------------------------------------------------------------
@@ -551,21 +627,29 @@ def substitute(
     if cap is None:
         caps = [c for c in [p.cap] + [img.cap for img in images.values()] if c is not None]
         cap = min(caps) if caps else None
-    total = ZERO
+    powers: dict = {}  # (variable, exponent) -> image ** exponent
+    acc: dict = {}
+    kappa = None
     for mono, coeff in p.items():
-        term = constant(coeff)
-        for v, e in mono:
-            if v in images:
-                factor = images[v]
-            elif v.kind is VarKind.XI:
-                factor = atom(v)
-            else:
-                raise IncompleteSubstitutionError(
-                    f"no image supplied for variable {var_label(v)}"
-                )
-            term = (term * factor ** e).truncated(cap)
-        total = total + term
-    return total.truncated(cap)
+        term = GradedPolynomial._trusted({(): coeff})
+        for factor in mono:
+            power = powers.get(factor)
+            if power is None:
+                v, e = factor
+                if v in images:
+                    image = images[v]
+                elif v.kind is _XI:
+                    image = atom(v)
+                else:
+                    raise IncompleteSubstitutionError(
+                        f"no image supplied for variable {var_label(v)}"
+                    )
+                power = powers[factor] = image if e == 1 else image ** e
+            term = (term * power).truncated(cap)
+        kappa = _join_kappa(kappa, term.kappa)
+        for m, c in term._terms.items():
+            acc[m] = acc.get(m, 0) + c
+    return GradedPolynomial._trusted(acc, cap, kappa, True)
 
 
 # ---------------------------------------------------------------------------
@@ -662,7 +746,7 @@ def parse(
     acc: dict = {}
     for mono, coeff in terms:
         mono = _normalize_monomial(mono)
-        acc[mono] = acc.get(mono, _ZERO) + coeff
+        acc[mono] = acc.get(mono, 0) + coeff
     return GradedPolynomial(acc, cap=cap, kappa=kappa)
 
 

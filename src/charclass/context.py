@@ -100,8 +100,14 @@ def _check_scalar(value: GradedPolynomial, label: str) -> GradedPolynomial:
 class MapContext:
     """The data of f: M^m -> P^n together with the Gysin calculus around it.
 
-    Instances are immutable; all methods are pure and cache internally only
-    values derived from the constructor arguments.
+    Instances are immutable and all methods are pure.  Values derived from
+    the constructor arguments alone are built once per instance and kept in
+    one memo (see :meth:`memo`): the quotient Chern classes, each
+    Landweber-Novikov class, each ``evaluate`` result (keyed on the catalogue
+    entry object itself, which the memo holds), the projected context, and,
+    through the pipelines, the surface or 3-fold character table.  Nothing is
+    shared between instances, and no memoised value refers back to its
+    context, so a context is freed as soon as its last reference goes.
     """
 
     def __init__(self, source_dim: int, target_dim: int, xi: Mapping):
@@ -126,8 +132,7 @@ class MapContext:
         self._m = m
         self._n = n
         self._xi = table
-        self._quotient: list | None = None
-        self._ln_cache: dict = {}
+        self._memo: dict = {}
 
     # -- basic data ---------------------------------------------------------
 
@@ -157,6 +162,18 @@ class MapContext:
         mode = "numeric" if self.is_numeric() else "symbolic"
         return f"MapContext({self._m} -> P^{self._n}, {mode})"
 
+    def memo(self, key, build):
+        """The value kept under ``key``, from ``build()`` on first use.
+
+        For values that depend on this context alone; keys are names or
+        tuples starting with one.
+        """
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = build()
+            return value
+
     # -- source/target ring helpers ------------------------------------------
 
     def hyperplane(self) -> GradedPolynomial:
@@ -167,9 +184,7 @@ class MapContext:
 
     def quotient_chern(self) -> list:
         """Quotient Chern classes c_1(f) ... c_m(f) as source classes."""
-        if self._quotient is None:
-            self._quotient = quotient_chern_classes(self._m, self._n)
-        return list(self._quotient)
+        return list(self.memo("quotient_chern", lambda: quotient_chern_classes(self._m, self._n)))
 
     def pushforward(self, x: GradedPolynomial) -> GradedPolynomial:
         """Gysin image of a source class in the target ring.
@@ -200,33 +215,41 @@ class MapContext:
             raise ValueError(
                 f"s_{index_digits(index)} has weight beyond the target dimension"
             )
-        if index not in self._ln_cache:
+
+        def build():
             monomial = constant(1).truncated(self._m)
             for k, e in enumerate(index, start=1):
                 if e:
                     monomial = monomial * self.quotient_chern()[k - 1] ** e
-            self._ln_cache[index] = self.pushforward(monomial)
-        return self._ln_cache[index]
+            return self.pushforward(monomial)
+
+        return self.memo(("landweber_novikov", index), build)
 
     def evaluate(self, ac: AbstractClass) -> GradedPolynomial:
         """Instantiate a universal class on this map.
 
         Quotient Chern variables become the quotient classes of f and
         Landweber-Novikov variables the pullbacks of the corresponding
-        pushed-forward classes; the result is a source class of weight cap m.
+        pushed-forward classes; the result is a source class of weight cap m,
+        built once per catalogue entry object.
         """
         if ac.kappa != self.kappa:
             raise RingMismatchError(
                 f"class {ac.name} lives at kappa={ac.kappa}, context has {self.kappa}"
             )
-        body = ac.body.truncated(self._m)
-        assignment = {}
-        for v in body.variables():
-            if v.kind is VarKind.QUOTIENT_CHERN:
-                assignment[v] = self.quotient_chern()[v.index[0] - 1]
-            elif v.kind is VarKind.LANDWEBER_NOVIKOV:
-                assignment[v] = self.pullback(self.landweber_novikov(v.index))
-        return substitute(body, assignment, cap=self._m)
+
+        def build():
+            body = ac.body.truncated(self._m)
+            assignment = {}
+            for v in body.variables():
+                if v.kind is VarKind.QUOTIENT_CHERN:
+                    assignment[v] = self.quotient_chern()[v.index[0] - 1]
+                elif v.kind is VarKind.LANDWEBER_NOVIKOV:
+                    assignment[v] = self.pullback(self.landweber_novikov(v.index))
+            # the entry is kept with its value so that its id stays taken
+            return ac, substitute(body, assignment, cap=self._m)
+
+        return self.memo(("evaluate", id(ac)), build)[1]
 
     def integrate(self, x: GradedPolynomial) -> Scalar:
         """Degree of a source class: only the weight-m part contributes.
@@ -251,7 +274,7 @@ class MapContext:
         """
         if self.kappa == 0:
             raise ValueError("cannot project: relative codimension would become negative")
-        return MapContext(self._m, self._n - 1, self._xi)
+        return self.memo("project", lambda: MapContext(self._m, self._n - 1, self._xi))
 
     def weighted_euler(self, series: AbstractClass) -> Scalar:
         """Euler characteristic of a locus: integrate c(TM) times the series.

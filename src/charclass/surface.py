@@ -65,8 +65,16 @@ def _require_surface(ctx: MapContext) -> None:
 
 
 def surface_characters(ctx: MapContext) -> SurfaceCharacters:
-    """Compute all surface characters through the class pipeline."""
+    """Compute all surface characters through the class pipeline.
+
+    The result is kept in the context's memo, so the verification report
+    reuses the table the caller already computed.
+    """
     _require_surface(ctx)
+    return ctx.memo("surface_characters", lambda: _surface_pipeline(ctx))
+
+
+def _surface_pipeline(ctx: MapContext) -> SurfaceCharacters:
     tp = tables.thom_polynomial
     sm = tables.ssm_series
     proj = ctx.project()

@@ -60,6 +60,7 @@ def _raw_lines() -> Iterator[str]:
 
 
 _REGISTRY: dict | None = None
+_SERIES: dict = {}  # (name, kappa) -> the sm: row under its plain name
 
 
 def _registry() -> dict:
@@ -72,6 +73,9 @@ def _registry() -> dict:
             if key in reg:
                 raise ValueError(f"duplicate table entry {key}")
             reg[key] = entry
+            if entry.name.startswith(_SSM_PREFIX):
+                name = entry.name[len(_SSM_PREFIX):]
+                _SERIES[(name, entry.kappa)] = replace(entry, name=name)
         _REGISTRY = reg
     return _REGISTRY
 
@@ -85,12 +89,15 @@ def thom_polynomial(name: str, kappa: int) -> AbstractClass:
 
 
 def ssm_series(name: str, kappa: int) -> AbstractClass:
-    """The truncated Euler-characteristic series for a locus or image set."""
+    """The truncated Euler-characteristic series for a locus or image set.
+
+    One object per catalogue row, named without the ``sm:`` prefix.
+    """
+    _registry()
     try:
-        entry = _registry()[(_SSM_PREFIX + name, kappa)]
+        return _SERIES[(name, kappa)]
     except KeyError:
         raise TableMissError(f"no Euler series for {name!r} at kappa={kappa}") from None
-    return replace(entry, name=name)
 
 
 def entries() -> list:

@@ -121,6 +121,9 @@ class CriticalSurfaceRing:
 
 
 def critical_surface_calculus(projected_ctx: MapContext) -> CriticalSurfaceRing:
+    # Not kept in the context's memo: the ring refers back to the context,
+    # and the cycle would hold the whole memo until the cyclic collector ran.
+    # The memoised character table already builds it once per context.
     return CriticalSurfaceRing(projected_ctx)
 
 
@@ -293,7 +296,11 @@ def canonical_dot_critical(ctx: MapContext) -> Scalar:
 
 
 def threefold_characters(ctx: MapContext) -> ThreefoldCharacters:
-    """All characters assembled in one pass."""
+    """All characters assembled in one pass, kept in the context's memo."""
+    return ctx.memo("threefold_characters", lambda: _threefold_pipeline(ctx))
+
+
+def _threefold_pipeline(ctx: MapContext) -> ThreefoldCharacters:
     mu0, t, gamma, q, s_t, chi_C = threefold_basic(ctx)
     m1, m2, m3, D_swallowtail, B_plus_D, total_polar = elementary_characters(ctx)
     return ThreefoldCharacters(

@@ -1,0 +1,137 @@
+"""Stored form of polynomials: every operation yields the canonical terms.
+
+Arithmetic builds its results without re-validating the terms, so each
+result is compared with a rebuild through the public constructor: same
+monomials, same coefficient values and types (``int`` when integral,
+``Fraction`` otherwise), same cap and kappa.  Floats are refused.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from charclass.algebra import (
+    GradedPolynomial,
+    SOURCE_HYPERPLANE_VAR,
+    atom,
+    constant,
+    lift,
+    source_chern,
+    substitute,
+    xi_symbol,
+)
+from charclass.context import make_context
+
+from conftest import ABSTRACT_VARS
+
+DEGREE = xi_symbol(())
+VARIABLES = ABSTRACT_VARS + [DEGREE, xi_symbol((1,))]
+SOURCE_IMAGES = [
+    atom(source_chern(1)),
+    atom(source_chern(2)),
+    atom(SOURCE_HYPERPLANE_VAR),
+    1 + atom(SOURCE_HYPERPLANE_VAR),
+    atom(source_chern(1)) - Fraction(1, 2) * atom(DEGREE),
+]
+
+coefficients = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-6, max_value=6, max_denominator=4),
+)
+caps = st.one_of(st.none(), st.integers(0, 5))
+
+
+@st.composite
+def polys(draw, kappa=1):
+    terms = []
+    for _ in range(draw(st.integers(0, 5))):
+        factors = [
+            (draw(st.sampled_from(VARIABLES)), draw(st.integers(1, 2)))
+            for _ in range(draw(st.integers(0, 3)))
+        ]
+        terms.append((factors, draw(coefficients)))
+    return GradedPolynomial(terms, cap=draw(caps), kappa=kappa)
+
+
+def assert_canonical(p: GradedPolynomial) -> None:
+    rebuilt = GradedPolynomial(dict(p.items()), cap=p.cap, kappa=p.kappa)
+    typed = {m: (type(c), c) for m, c in p.items()}
+    assert typed == {m: (type(c), c) for m, c in rebuilt.items()}
+    assert (p.cap, p.kappa) == (rebuilt.cap, rebuilt.kappa)
+    for c in typed.values():
+        assert c[0] is (int if c[1].denominator == 1 else Fraction)
+
+
+class TestTrustedResultsAreCanonical:
+    @settings(max_examples=300)
+    @given(polys(), polys(), st.integers(0, 3), caps, coefficients)
+    def test_arithmetic(self, p, q, power, cap, scalar):
+        for result in [p + q, p - q, -p, p * q, p ** power, p.truncated(cap),
+                       p + scalar, scalar - p, scalar * p, p * Fraction(1, 2)]:
+            assert_canonical(result)
+        if scalar:
+            assert_canonical(p / scalar)
+
+    @settings(max_examples=200)
+    @given(polys(), st.lists(st.sampled_from(SOURCE_IMAGES), min_size=7, max_size=7), caps)
+    def test_substitute(self, p, picks, cap):
+        images = {v: img for v, img in zip(ABSTRACT_VARS, picks)}
+        assert_canonical(substitute(p, images, cap=cap))
+
+    @settings(max_examples=200)
+    @given(polys(), coefficients)
+    def test_readers_return_fractions(self, p, value):
+        for mono, _ in p.items():
+            assert type(p.coefficient(mono)) is Fraction
+        assert type(p.coefficient(((xi_symbol((2, 2)), 1),))) is Fraction
+        assert type(constant(value).constant_value()) is Fraction
+        assert constant(value).constant_value() == value
+        assert type((p - p).constant_value()) is Fraction
+
+    def test_integral_fractions_are_stored_as_int(self):
+        half = constant(Fraction(1, 2))
+        whole = half + half
+        assert whole == 1 and type(whole.constant_value()) is Fraction
+        assert [type(c) for _, c in whole.items()] == [int]
+        assert [type(c) for _, c in constant(Fraction(6, 3)).items()] == [int]
+
+    def test_public_constructor_still_validates(self):
+        with pytest.raises(TypeError):
+            GradedPolynomial({((("not", "a var"), 1),): 1})
+        with pytest.raises(ValueError):
+            GradedPolynomial({(): 1}, cap=-1)
+        assert GradedPolynomial([(((DEGREE, 1), (DEGREE, 1)), 1)]) == atom(DEGREE) ** 2
+
+
+class TestFloatsRefused:
+    @pytest.mark.parametrize("build", [
+        lambda: constant(0.1),
+        lambda: lift(0.5),
+        lambda: GradedPolynomial({(): 2.0}),
+        lambda: GradedPolynomial({((xi_symbol((1,)), 1),): 1.5}),
+    ])
+    def test_library_constructors(self, build):
+        with pytest.raises(TypeError, match="float"):
+            build()
+
+    def test_message_names_the_value(self):
+        with pytest.raises(TypeError, match=r"0\.1"):
+            constant(0.1)
+
+    def test_degree_table(self):
+        with pytest.raises(TypeError, match=r"4\.0"):
+            make_context(2, 3, {"d": 4.0, "xi1": 6, "xi2": 9, "xi01": 3})
+
+    def test_arithmetic(self):
+        x = atom(xi_symbol((1,)))
+        for op in (lambda: x * 0.5, lambda: x + 0.5, lambda: x / 0.5, lambda: 0.5 - x):
+            with pytest.raises(TypeError):
+                op()
+
+    def test_exact_inputs_still_accepted(self):
+        ctx = make_context(2, 3, {"d": 4, "xi1": Fraction(6), "xi2": 9, "xi01": 3})
+        assert ctx.xi_scalar(()) == 4
+        assert GradedPolynomial({(): "1/2"}) == Fraction(1, 2)

@@ -19,7 +19,8 @@ from charclass.cli import InputError, parse_input, run_command
 from charclass.context import TruncationError
 from charclass.tables import TableMissError
 
-GOLDEN_VERIFY = Path(__file__).parent / "golden" / "verify_all.txt"
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_VERIFY = GOLDEN / "verify_all.txt"
 
 VERONESE_DOC = json.dumps(
     {
@@ -183,6 +184,24 @@ class TestVerify:
         assert code == 0
         checks = json.loads(out)
         assert checks and all(c["passed"] for c in checks)
+
+
+@pytest.mark.parametrize(
+    "preset, command, golden",
+    [
+        (["veronese-p3"], "threefold", "veronese_p3_threefold.json"),
+        (["roman-surface"], "surface", "roman_surface.json"),
+        (["smooth-threefold", "--degree", "1000000000000"], "threefold",
+         "smooth_threefold_1e12.json"),
+    ],
+)
+def test_numeric_json_matches_golden(preset, command, golden):
+    """`charclass preset ... | charclass <kind> --json`, byte for byte."""
+    code, doc, _ = run(["preset", *preset])
+    assert code == 0
+    code, out, _ = run([command, "--json"], stdin_text=doc)
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text(encoding="utf-8")
 
 
 class TestDerive:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -248,6 +250,75 @@ class TestProjection:
         ctx = roman_surface_context()
         x = C1 * AT
         assert ctx.integrate(x) == ctx.project().integrate(x)
+
+
+class TestMemo:
+    """Per-context memos: keyed on the catalogue entry, never shared."""
+
+    @pytest.mark.parametrize("series_first", [False, True])
+    def test_evaluate_keys_on_the_entry_object(self, series_first):
+        # the locus class and the Euler series share name "A1" and kappa 1
+        locus = tables.thom_polynomial("A1", 1)
+        series = tables.ssm_series("A1", 1)
+        assert (locus.name, locus.kappa) == (series.name, series.kappa)
+        order = [series, locus] if series_first else [locus, series]
+        ctx = make_context(3, 4, SYMBOLIC)
+        values = {id(entry): ctx.evaluate(entry) for entry in order}
+        assert values[id(locus)] != values[id(series)]
+        for entry in order:
+            assert values[id(entry)] == make_context(3, 4, SYMBOLIC).evaluate(entry)
+            assert ctx.evaluate(entry) == values[id(entry)]
+
+    def test_series_rows_are_single_objects(self):
+        assert tables.ssm_series("A1", 1) is tables.ssm_series("A1", 1)
+        assert tables.ssm_series("A1", 1) is not tables.thom_polynomial("A1", 1)
+
+    def test_project_is_built_once(self):
+        ctx = make_context(3, 4, SYMBOLIC)
+        assert ctx.project() is ctx.project()
+        assert ctx.project() is not make_context(3, 4, SYMBOLIC).project()
+
+    def test_contexts_do_not_share_values(self):
+        entry = tables.thom_polynomial("A0^3", 1)
+        roman = roman_surface_context()
+        smooth = smooth_surface_context(5)
+        assert roman.integrate(roman.evaluate(entry)) == 3
+        assert smooth.integrate(smooth.evaluate(entry)) == 0
+        assert roman.integrate(roman.evaluate(entry)) == 3
+
+    def test_character_tables_are_reused(self):
+        from charclass.surface import surface_characters
+        from charclass.threefold import threefold_characters
+
+        surf = roman_surface_context()
+        assert surface_characters(surf) is surface_characters(surf)
+        fold = veronese_threefold_context()
+        assert threefold_characters(fold) is threefold_characters(fold)
+        assert threefold_characters(fold) == threefold_characters(veronese_threefold_context())
+
+    @pytest.mark.parametrize("kind", ["surface", "threefold"])
+    def test_memoised_context_is_freed_without_the_cycle_collector(self, kind):
+        # a memoised value that referred back to its context would keep the
+        # whole memo alive until the cyclic collector happened to run
+        from charclass.surface import surface_characters, verify_surface_relations
+        from charclass.threefold import threefold_characters, verify_threefold_identities
+
+        gc.collect()
+        gc.disable()
+        try:
+            if kind == "surface":
+                ctx = roman_surface_context()
+                surface_characters(ctx)
+                verify_surface_relations(ctx)
+            else:
+                ctx = veronese_threefold_context()
+                threefold_characters(ctx)
+                verify_threefold_identities(ctx)
+            refs = [weakref.ref(ctx), weakref.ref(ctx.project())]
+            del ctx
+            assert [r() for r in refs] == [None, None]
+        finally:
+            gc.enable()
 
 
 class TestWeightedEuler:
