@@ -7,6 +7,7 @@ singularities, working over exact rational arithmetic throughout.
 
 from .algebra import (
     AbstractClass,
+    ExponentOverflowError,
     GradedPolynomial,
     IncompleteSubstitutionError,
     MultiIndex,
@@ -18,6 +19,7 @@ from .algebra import (
     chern_indices,
     constant,
     degree_symbol,
+    gysin_map,
     invert_unit_series,
     landweber_novikov,
     lift,
@@ -25,7 +27,6 @@ from .algebra import (
     quotient_chern,
     render,
     source_chern,
-    split_term,
     substitute,
     trim_index,
     xi_scalar,

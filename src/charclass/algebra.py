@@ -21,22 +21,35 @@ Chern classes are modelled.  Coefficients are exact rationals, stored as
 value has one stored form; floats are refused with :class:`TypeError` and
 nothing here ever rounds.
 
+Internally a monomial is one packed ``int`` (see the monomials section), so
+a product of monomials is an integer sum and a weight two field reads.  The
+format stays inside this module: callers pass :class:`Var` objects and
+polynomials, and every reader (``items``, ``coefficient``, ``variables``,
+``render``) speaks in sorted ``(Var, exponent)`` tuples.  An exponent, or
+the weight of a monomial, above :data:`EXPONENT_LIMIT` raises
+:class:`ExponentOverflowError`.
+
 All values are immutable after construction and every operation is pure, so
-instances can be shared freely across threads.
+instances can be shared freely across threads; the process-wide table that
+gives each variable its field is filled under a lock.
 """
 
 from __future__ import annotations
 
 import re
+import threading
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
+from functools import lru_cache, reduce
+from operator import or_
 from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
 MultiIndex = tuple  # tuple[int, ...], trailing zeros trimmed
 
 class RingMismatchError(ValueError):
-    """Operands use Landweber-Novikov variables with different kappa."""
+    """Operands use Landweber-Novikov variables with different kappa, or a
+    class holds a variable that does not belong to the ring it is mapped from."""
 
 
 class NonUnitSeriesError(ValueError):
@@ -45,6 +58,10 @@ class NonUnitSeriesError(ValueError):
 
 class IncompleteSubstitutionError(ValueError):
     """A substitution left a non-scalar variable unassigned."""
+
+
+class ExponentOverflowError(ValueError):
+    """An exponent or a monomial weight exceeds :data:`EXPONENT_LIMIT`."""
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +108,11 @@ def chern_indices(max_weight: int) -> list:
     These index the Chern monomials c_1^{i_1} c_2^{i_2} ... that can carry a
     nonzero degree on a manifold of the given dimension.
     """
+    return list(_chern_indices(int(max_weight)))
+
+
+@lru_cache(maxsize=None)
+def _chern_indices(max_weight: int) -> tuple:
     out = [()]
     for w in range(1, max_weight + 1):
         for part in _partitions(w):
@@ -98,7 +120,7 @@ def chern_indices(max_weight: int) -> list:
             for k in part:
                 exps[k - 1] += 1
             out.append(tuple(exps))
-    return sorted(set(out), key=lambda i: (index_weight(i), i))
+    return tuple(sorted(set(out), key=lambda i: (index_weight(i), i)))
 
 
 # ---------------------------------------------------------------------------
@@ -189,13 +211,57 @@ def var_label(v: Var) -> str:
 
 
 # ---------------------------------------------------------------------------
-# monomials: sorted tuples of (Var, exponent) pairs, exponents >= 1
+# monomials: packed integers
+#
+# A monomial is one int made of 16-bit fields.  Field 0 holds its weight
+# without the kappa part, field 1 its number of Landweber-Novikov factors
+# (each adds kappa to the weight) and field k + 2 the exponent of the
+# variable interned in slot k, so the monomial is linear in its exponents:
+# a product is a sum and a power a multiple.  The top bit of every field is
+# a guard that valid monomials keep clear; the sum of two valid fields fits
+# the field, so one mask test on a sum finds any overflow.  Slots follow
+# first use, never the variable order: readers decode to sorted tuples.
 
-Monomial = tuple  # tuple[tuple[Var, int], ...]
+_FIELD = 16
+_MASK = (1 << _FIELD) - 1
+EXPONENT_LIMIT = (1 << (_FIELD - 1)) - 1
+
+_UNITS: dict = {}  # Var -> its packed monomial of exponent 1
+_SLOT_VARS: list = []  # slot -> Var
+_GUARD = (1 << (_FIELD - 1)) | (1 << (2 * _FIELD - 1))  # grows with the slots
+_INTERN_LOCK = threading.Lock()
+_DECODED: dict = {0: ()}  # packed monomial -> sorted (Var, exponent) tuple
 
 
-def _normalize_monomial(pairs: Iterable) -> Monomial:
-    merged: dict = {}
+def _overflow(what) -> ExponentOverflowError:
+    return ExponentOverflowError(
+        f"{what} exceeds the limit of {EXPONENT_LIMIT} for an exponent or a monomial weight"
+    )
+
+
+def _unit(v: Var) -> int:
+    """The packed monomial of ``v``; interns ``v`` on first use."""
+    unit = _UNITS.get(v)
+    if unit is not None:
+        return unit
+    weight = var_weight(v, 0)
+    if weight > EXPONENT_LIMIT:
+        raise _overflow(f"weight {weight} of variable {var_label(v)}")
+    global _GUARD
+    with _INTERN_LOCK:
+        unit = _UNITS.get(v)
+        if unit is None:
+            shift = _FIELD * (len(_SLOT_VARS) + 2)
+            unit = (1 << shift) | (int(v.kind is _LN) << _FIELD) | weight
+            _SLOT_VARS.append(v)
+            _GUARD |= 1 << (shift + _FIELD - 1)
+            _UNITS[v] = unit
+    return unit
+
+
+def _encode(pairs: Iterable) -> int:
+    """Pack (Var, exponent) pairs, which may repeat a variable, validating them."""
+    exps: dict = {}
     for v, e in pairs:
         if not isinstance(v, Var):
             raise TypeError(f"monomial factor {v!r} is not a Var")
@@ -203,30 +269,81 @@ def _normalize_monomial(pairs: Iterable) -> Monomial:
         if e < 0:
             raise ValueError("negative exponent in monomial")
         if e:
-            merged[v] = merged.get(v, 0) + e
-    return tuple(sorted(merged.items()))
+            exps[v] = exps.get(v, 0) + e
+    mono = weight = ln = 0
+    for v, e in exps.items():
+        if e > EXPONENT_LIMIT:
+            raise _overflow(f"exponent {e} of {var_label(v)}")
+        unit = _unit(v)
+        weight += e * (unit & _MASK)
+        ln += e * (unit >> _FIELD & _MASK)
+        if weight > EXPONENT_LIMIT or ln > EXPONENT_LIMIT:
+            raise _overflow("monomial weight")
+        mono += e * unit
+    return mono
 
 
-def monomial_weight(mono: Monomial, kappa: int | None = None) -> int:
-    total = 0
-    for v, e in mono:
-        total += var_weight(v, kappa) * e
-    return total
+def _decode(mono: int) -> tuple:
+    """Sorted (Var, exponent) pairs of a packed monomial."""
+    pairs = _DECODED.get(mono)
+    if pairs is None:
+        found = []
+        rest, slot = mono >> (2 * _FIELD), 0
+        while rest:
+            e = rest & _MASK
+            if e:
+                found.append((_SLOT_VARS[slot], e))
+            rest >>= _FIELD
+            slot += 1
+        pairs = _DECODED[mono] = tuple(sorted(found))
+    return pairs
 
 
-def _monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    if not a:
-        return b
-    if not b:
-        return a
-    merged = dict(a)
-    for v, e in b:
-        merged[v] = merged.get(v, 0) + e
-    return tuple(sorted(merged.items()))
+def _weight(mono: int, kappa: int | None) -> int:
+    if kappa:
+        return (mono & _MASK) + kappa * (mono >> _FIELD & _MASK)
+    return mono & _MASK
 
 
 def _has_ln(terms) -> bool:
-    return any(v.kind is _LN for mono in terms for v, _ in mono)
+    return bool(reduce(or_, terms, 0) >> _FIELD & _MASK)
+
+
+def _check_fields(terms) -> None:
+    """Raise if any packed monomial among ``terms`` overflowed a field."""
+    if reduce(or_, terms, 0) & _GUARD:
+        raise _overflow("product monomial")
+
+
+def _product(left: Mapping, right: Mapping, cap: int | None, kappa: int | None) -> dict:
+    """Term dict of the product of two term dicts, skipping terms above ``cap``.
+
+    Zero coefficients from cancellation are kept; building the polynomial
+    drops them.
+    """
+    acc: dict = {}
+    get = acc.get
+    if cap is None:
+        pairs = right.items()
+        for m1, c1 in left.items():
+            for m2, c2 in pairs:
+                mono = m1 + m2
+                acc[mono] = get(mono, 0) + c1 * c2
+    else:
+        # weights add under multiplication, so over-cap products are skipped
+        if kappa:
+            weighed = [(m2, c2, (m2 & _MASK) + kappa * (m2 >> _FIELD & _MASK))
+                       for m2, c2 in right.items()]
+        else:
+            weighed = [(m2, c2, m2 & _MASK) for m2, c2 in right.items()]
+        for m1, c1 in left.items():
+            room = cap - _weight(m1, kappa)
+            for m2, c2, w2 in weighed:
+                if w2 <= room:
+                    mono = m1 + m2
+                    acc[mono] = get(mono, 0) + c1 * c2
+    _check_fields(acc)
+    return acc
 
 
 Coefficient = Union[int, Fraction]
@@ -266,7 +383,8 @@ def _join_cap(c1: int | None, c2: int | None) -> int | None:
 class GradedPolynomial:
     """Sparse multivariate polynomial with weighted variables.
 
-    ``terms`` maps canonical monomials to nonzero coefficients, stored as
+    ``terms`` maps monomials (iterables of ``(Var, exponent)`` pairs) to
+    coefficients; they are stored packed, with nonzero coefficients kept as
     ``int`` when integral and as Fraction otherwise.  ``cap`` is an
     optional weight bound: terms above it are dropped at construction and the
     bound propagates through arithmetic as the minimum of the operand caps.
@@ -287,13 +405,13 @@ class GradedPolynomial:
         cap: int | None = None,
         kappa: int | None = None,
     ):
-        items = terms.items() if isinstance(terms, Mapping) else (terms or ())
+        items = terms.items() if isinstance(terms, (dict, Mapping)) else (terms or ())
         acc: dict = {}
         for mono, coeff in items:
             coeff = _coefficient(coeff)
             if not coeff:
                 continue
-            mono = _normalize_monomial(mono)
+            mono = _encode(mono)
             new = acc.get(mono, 0) + coeff
             if new:
                 acc[mono] = new
@@ -307,35 +425,10 @@ class GradedPolynomial:
             cap = int(cap)
             if cap < 0:
                 raise ValueError("weight cap must be non-negative")
-        self._fill(acc, cap, kappa, cap is None)
-
-    @classmethod
-    def _trusted(
-        cls, terms: Mapping, cap: int | None = None, kappa: int | None = None,
-        capped: bool = False,
-    ) -> "GradedPolynomial":
-        """Build from terms that are already canonical, skipping validation.
-
-        ``terms`` maps canonical monomials to int or Fraction coefficients,
-        as the results of arithmetic on polynomials do.  Zero coefficients
-        are dropped, integral Fractions stored as int, terms above ``cap``
-        dropped (unless ``capped`` says none are) and kappa normalised as in
-        the public constructor.
-        """
-        self = object.__new__(cls)
-        self._fill(terms, cap, kappa, capped or cap is None)
-        return self
-
-    def _fill(self, terms: Mapping, cap: int | None, kappa: int | None, capped: bool) -> None:
-        acc = {m: c.numerator if c.denominator == 1 else c for m, c in terms.items() if c}
-        if not capped:
-            acc = {m: c for m, c in acc.items() if monomial_weight(m, kappa) <= cap}
-        # dropping terms may remove the last LN variable; renormalise
-        if kappa is not None and not _has_ln(acc):
-            kappa = None
-        _set_terms(self, acc)
+        built = _build(acc, cap, kappa)
+        _set_terms(self, built._terms)
         _set_cap(self, cap)
-        _set_kappa(self, kappa)
+        _set_kappa(self, built.kappa)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
         raise AttributeError("GradedPolynomial is immutable")
@@ -343,51 +436,48 @@ class GradedPolynomial:
     # -- inspection ---------------------------------------------------------
 
     def items(self) -> Iterator:
-        return iter(self._terms.items())
+        """(monomial, coefficient) pairs, monomials as sorted (Var, exponent) tuples."""
+        return ((_decode(m), c) for m, c in self._terms.items())
 
     def __len__(self) -> int:
         return len(self._terms)
 
     def coefficient(self, mono: Iterable) -> Fraction:
-        return Fraction(self._terms.get(_normalize_monomial(mono), 0))
+        return Fraction(self._terms.get(_encode(mono), 0))
 
     def is_zero(self) -> bool:
         return not self._terms
 
     def is_constant(self) -> bool:
-        return not self._terms or (len(self._terms) == 1 and () in self._terms)
+        terms = self._terms
+        return len(terms) < 2 and (not terms or 0 in terms)
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError(f"{self} is not a constant")
-        return Fraction(self._terms.get((), 0))
+        return Fraction(self._terms.get(0, 0))
 
     def variables(self) -> set:
-        return {v for mono in self._terms for v, _ in mono}
+        return {v for mono in self._terms for v, _ in _decode(mono)}
 
     def weight_components(self) -> dict:
         """Decompose into homogeneous parts, keyed by weight."""
         parts: dict = {}
         for mono, coeff in self._terms.items():
-            parts.setdefault(monomial_weight(mono, self.kappa), {})[mono] = coeff
+            parts.setdefault(_weight(mono, self.kappa), {})[mono] = coeff
         return {
-            w: GradedPolynomial._trusted(ts, self.cap, self.kappa, True)
+            w: _build(ts, self.cap, self.kappa, True)
             for w, ts in sorted(parts.items())
         }
 
     def component(self, weight: int) -> "GradedPolynomial":
         """The homogeneous part of the given total weight (possibly zero)."""
-        ts = {
-            m: c
-            for m, c in self._terms.items()
-            if monomial_weight(m, self.kappa) == weight
-        }
-        return GradedPolynomial._trusted(ts, self.cap, self.kappa, True)
+        kappa = self.kappa
+        ts = {m: c for m, c in self._terms.items() if _weight(m, kappa) == weight}
+        return _build(ts, self.cap, kappa, True)
 
     def is_homogeneous(self, weight: int) -> bool:
-        return all(
-            monomial_weight(m, self.kappa) == weight for m in self._terms
-        )
+        return all(_weight(m, self.kappa) == weight for m in self._terms)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -395,33 +485,46 @@ class GradedPolynomial:
         if isinstance(other, GradedPolynomial):
             return self._terms == other._terms
         if isinstance(other, (int, Fraction)):
-            return self._terms == ({(): other} if other else {})
+            return self._terms == ({0: other} if other else {})
         return NotImplemented
 
-    def _plus(self, other, sign: int) -> "GradedPolynomial":
-        """self + sign * other, for sign 1 or -1."""
+    def _plus(self, other, subtract: bool) -> "GradedPolynomial":
+        """self + other, or self - other when ``subtract``."""
+        terms = self._terms
+        constant = len(terms) < 2 and (not terms or 0 in terms)
         if not isinstance(other, GradedPolynomial):
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
-            acc = dict(self._terms)
-            acc[()] = acc.get((), 0) + sign * other
-            return GradedPolynomial._trusted(acc, self.cap, self.kappa, True)
+            value = terms.get(0, 0)
+            value = value - other if subtract else value + other
+            if constant:
+                return _scalar(value, self.cap)
+            acc = dict(terms)
+            acc[0] = value
+            return _build(acc, self.cap, self.kappa, True)
+        right = other._terms
+        cap = _join_cap(self.cap, other.cap)
+        if constant and len(right) < 2 and (not right or 0 in right):
+            value, k = terms.get(0, 0), right.get(0, 0)
+            return _scalar(value - k if subtract else value + k, cap)
         kappa = _join_kappa(self.kappa, other.kappa)
-        acc = dict(self._terms)
+        acc = dict(terms)
         get = acc.get
-        for mono, coeff in other._terms.items():
-            acc[mono] = get(mono, 0) + (coeff if sign > 0 else -coeff)
-        return GradedPolynomial._trusted(
-            acc, _join_cap(self.cap, other.cap), kappa, self.cap == other.cap
-        )
+        if subtract:
+            for mono, coeff in right.items():
+                acc[mono] = get(mono, 0) - coeff
+        else:
+            for mono, coeff in right.items():
+                acc[mono] = get(mono, 0) + coeff
+        return _build(acc, cap, kappa, self.cap == other.cap)
 
     def __add__(self, other) -> "GradedPolynomial":
-        return self._plus(other, 1)
+        return self._plus(other, False)
 
     __radd__ = __add__
 
     def __neg__(self) -> "GradedPolynomial":
-        return GradedPolynomial._trusted(
+        return _build(
             {m: -c for m, c in self._terms.items()}, self.cap, self.kappa, True
         )
 
@@ -429,47 +532,32 @@ class GradedPolynomial:
         return self
 
     def __sub__(self, other) -> "GradedPolynomial":
-        return self._plus(other, -1)
+        return self._plus(other, True)
 
     def __rsub__(self, other) -> "GradedPolynomial":
-        return (-self)._plus(other, 1)
+        return (-self)._plus(other, False)
 
     def __mul__(self, other) -> "GradedPolynomial":
+        left = self._terms
+        constant = len(left) < 2 and (not left or 0 in left)
         if not isinstance(other, GradedPolynomial):
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
-            return GradedPolynomial._trusted(
-                {m: c * other for m, c in self._terms.items()}, self.cap, self.kappa, True
-            )
-        kappa = _join_kappa(self.kappa, other.kappa)
+            if constant:
+                return _scalar(left.get(0, 0) * other, self.cap)
+            return _build({m: c * other for m, c in left.items()}, self.cap, self.kappa, True)
+        right = other._terms
         cap = _join_cap(self.cap, other.cap)
-        left, right = self._terms, other._terms
-        if len(right) == 1 and () in right:  # scaling by a constant
-            k = right[()]
-            acc = {m: c * k for m, c in left.items()}
-            return GradedPolynomial._trusted(acc, cap, kappa, self.cap == cap)
-        if len(left) == 1 and () in left:
-            k = left[()]
-            acc = {m: k * c for m, c in right.items()}
-            return GradedPolynomial._trusted(acc, cap, kappa, other.cap == cap)
-        acc = {}
-        get = acc.get
-        if cap is None:
-            pairs = right.items()
-            for m1, c1 in left.items():
-                for m2, c2 in pairs:
-                    mono = _monomial_mul(m1, m2)
-                    acc[mono] = get(mono, 0) + c1 * c2
-        else:
-            # weights add under multiplication, so over-cap products are skipped
-            weighed = [(m2, c2, monomial_weight(m2, kappa)) for m2, c2 in right.items()]
-            for m1, c1 in left.items():
-                room = cap - monomial_weight(m1, kappa)
-                for m2, c2, w2 in weighed:
-                    if w2 <= room:
-                        mono = _monomial_mul(m1, m2)
-                        acc[mono] = get(mono, 0) + c1 * c2
-        return GradedPolynomial._trusted(acc, cap, kappa, True)
+        if len(right) < 2 and (not right or 0 in right):  # scaling by a constant
+            k = right.get(0, 0)
+            if constant:
+                return _scalar(left.get(0, 0) * k, cap)
+            return _build({m: c * k for m, c in left.items()}, cap, self.kappa, self.cap == cap)
+        kappa = _join_kappa(self.kappa, other.kappa)
+        if constant:
+            k = left.get(0, 0)
+            return _build({m: k * c for m, c in right.items()}, cap, kappa, other.cap == cap)
+        return _build(_product(left, right, cap, kappa), cap, kappa, True)
 
     __rmul__ = __mul__
 
@@ -488,11 +576,15 @@ class GradedPolynomial:
         power = int(power)
         if power < 0:
             raise ValueError("negative powers are not defined here")
+        if self.is_constant():
+            return _scalar(self._terms.get(0, 0) ** power, self.cap)
         if power and len(self._terms) == 1:  # a single term: scale its exponents
             (mono, coeff), = self._terms.items()
-            mono = tuple((v, e * power) for v, e in mono)
-            return GradedPolynomial._trusted({mono: coeff ** power}, self.cap, self.kappa)
-        result = GradedPolynomial._trusted({(): 1}, self.cap, None, True)
+            top = max(mono & _MASK, mono >> _FIELD & _MASK, *(e for _, e in _decode(mono)))
+            if top * power > EXPONENT_LIMIT:
+                raise _overflow(f"power {power} of a monomial with exponent or weight {top}")
+            return _build({mono * power: coeff ** power}, self.cap, self.kappa)
+        result = _scalar(1, self.cap)
         base = self
         while power:
             if power & 1:
@@ -510,14 +602,15 @@ class GradedPolynomial:
             if cap < 0:
                 raise ValueError("weight cap must be non-negative")
         capped = cap is None or (self.cap is not None and cap >= self.cap)
-        return GradedPolynomial._trusted(self._terms, cap, self.kappa, capped)
+        return _build(self._terms, cap, self.kappa, capped)
 
     def sorted_items(self) -> list:
         """Terms in canonical order: by total weight, then by monomial."""
-        return sorted(
-            self._terms.items(),
-            key=lambda kv: (monomial_weight(kv[0], self.kappa), kv[0]),
+        kappa = self.kappa
+        keyed = sorted(
+            (_weight(m, kappa), _decode(m), c) for m, c in self._terms.items()
         )
+        return [(mono, c) for _, mono, c in keyed]
 
     def __str__(self) -> str:
         return render(self)
@@ -530,6 +623,46 @@ class GradedPolynomial:
 _set_terms = GradedPolynomial._terms.__set__
 _set_cap = GradedPolynomial.cap.__set__
 _set_kappa = GradedPolynomial.kappa.__set__
+_new = object.__new__
+
+
+def _build(
+    terms: Mapping, cap: int | None = None, kappa: int | None = None, capped: bool = False,
+) -> GradedPolynomial:
+    """A polynomial from packed terms, as arithmetic produces them, unvalidated.
+
+    ``terms`` maps packed monomials to int or Fraction coefficients.  Zero
+    coefficients are dropped, integral Fractions stored as int, terms above
+    ``cap`` dropped (unless ``capped`` says none are) and kappa normalised
+    as in the public constructor.
+    """
+    if capped or cap is None:
+        acc = {m: c if type(c) is int or c.denominator != 1 else c.numerator
+               for m, c in terms.items() if c}
+    elif kappa:
+        acc = {m: c if type(c) is int or c.denominator != 1 else c.numerator
+               for m, c in terms.items()
+               if c and (m & _MASK) + kappa * (m >> _FIELD & _MASK) <= cap}
+    else:
+        acc = {m: c if type(c) is int or c.denominator != 1 else c.numerator
+               for m, c in terms.items() if c and m & _MASK <= cap}
+    # dropping terms may remove the last LN variable; renormalise
+    if kappa is not None and not _has_ln(acc):
+        kappa = None
+    p = _new(GradedPolynomial)
+    _set_terms(p, acc)
+    _set_cap(p, cap)
+    _set_kappa(p, kappa)
+    return p
+
+
+def _scalar(value: Coefficient, cap: int | None) -> GradedPolynomial:
+    """A constant polynomial, for int or Fraction ``value``."""
+    p = _new(GradedPolynomial)
+    _set_terms(p, {0: value.numerator if value.denominator == 1 else value} if value else {})
+    _set_cap(p, cap)
+    _set_kappa(p, None)
+    return p
 
 
 def constant(value: Coefficient) -> GradedPolynomial:
@@ -560,30 +693,70 @@ def xi_scalar(index: Iterable[int]) -> GradedPolynomial:
     return atom(xi_symbol(index))
 
 
-def split_term(mono: Monomial, coeff: Coefficient, chern_kind: VarKind | None,
-               hyperplane_var: Var) -> tuple:
-    """Split one term as (Chern multi-index, hyperplane power, scalar).
+# ---------------------------------------------------------------------------
+# Gysin maps: the one place monomials are split
 
-    The term is c_I * h^j * (scalar symbols) * coeff, with the c_k of family
-    ``chern_kind`` (None when no Chern family belongs to the ring) and h the
-    ``hyperplane_var``.  The returned scalar polynomial carries ``coeff``.
-    Any other variable raises :class:`ValueError`.
-    """
+_SPLITS: dict = {}  # (Chern kind, hyperplane var) -> {monomial: its split}
+
+
+def _split(mono: int, chern_kind: VarKind | None, hyperplane_var: Var) -> tuple:
+    """(Chern multi-index, hyperplane power, weight, packed scalar part)."""
     hyperplane_kind = hyperplane_var.kind
     exps: dict = {}
-    power = 0
-    scalars = []
-    for v, e in mono:
+    power = scalar = 0
+    for v, e in _decode(mono):
         if v.kind is chern_kind:
             exps[v.index[0]] = e
         elif v.kind is hyperplane_kind:
             power = e
         elif v.kind is _XI:
-            scalars.append((v, e))
+            scalar += e * _UNITS[v]
         else:
-            raise ValueError(f"variable {var_label(v)} does not belong to this ring")
+            raise RingMismatchError(f"variable {var_label(v)} does not belong to this ring")
     index = tuple(exps.get(k, 0) for k in range(1, max(exps) + 1)) if exps else ()
-    return index, power, GradedPolynomial._trusted({tuple(scalars): coeff})
+    return index, power, mono & _MASK, scalar
+
+
+def gysin_map(
+    p: GradedPolynomial,
+    chern_kind: VarKind | None,
+    hyperplane_var: Var,
+    image,
+    *,
+    target_var: Var | None = None,
+    cap: int | None = None,
+) -> GradedPolynomial:
+    """Map p term by term, linearly over the scalar symbols.
+
+    Each term of p is coeff * c_I * h^j * s: a Chern monomial c_I of family
+    ``chern_kind`` (None when no Chern family belongs to the ring), a power
+    of ``hyperplane_var`` and scalar symbols s; any other variable raises
+    :class:`RingMismatchError`.  ``image(I, j, w)``, where w = weight(I) + j,
+    returns a pair (value, k) for the term to become coeff * s * value *
+    target_var^k, or None to drop the term.  The result is capped at
+    ``cap``.
+    """
+    splits = _SPLITS.setdefault((chern_kind, hyperplane_var), {})
+    target = 0 if target_var is None else _unit(target_var)
+    acc: dict = {}
+    get = acc.get
+    kappa = None
+    for mono, coeff in p._terms.items():
+        part = splits.get(mono)
+        if part is None:
+            part = splits[mono] = _split(mono, chern_kind, hyperplane_var)
+        index, power, weight, scalar = part
+        got = image(index, power, weight)
+        if got is None:
+            continue
+        value, k = got
+        kappa = _join_kappa(kappa, value.kappa)
+        shift = scalar + k * target
+        for m, c in value._terms.items():
+            m += shift
+            acc[m] = get(m, 0) + coeff * c
+    _check_fields(acc)
+    return _build(acc, cap, kappa)
 
 
 # ---------------------------------------------------------------------------
@@ -621,7 +794,8 @@ def substitute(
     Every non-scalar variable occurring in p must be assigned (scalar ``xi``
     symbols pass through untouched unless explicitly remapped).  The result
     is truncated to ``cap`` when given, otherwise to the tightest cap among
-    p and the images.
+    p and the images; each factor's product is truncated to the smaller of
+    that cap and the factor image's own.
     """
     images = {v: lift(img) for v, img in assignment.items()}
     if cap is None:
@@ -629,10 +803,11 @@ def substitute(
         cap = min(caps) if caps else None
     powers: dict = {}  # (variable, exponent) -> image ** exponent
     acc: dict = {}
+    get = acc.get
     kappa = None
-    for mono, coeff in p.items():
-        term = GradedPolynomial._trusted({(): coeff})
-        for factor in mono:
+    for mono, coeff in p._terms.items():
+        term = None
+        for factor in _decode(mono):
             power = powers.get(factor)
             if power is None:
                 v, e = factor
@@ -645,11 +820,19 @@ def substitute(
                         f"no image supplied for variable {var_label(v)}"
                     )
                 power = powers[factor] = image if e == 1 else image ** e
-            term = (term * power).truncated(cap)
-        kappa = _join_kappa(kappa, term.kappa)
-        for m, c in term._terms.items():
-            acc[m] = acc.get(m, 0) + c
-    return GradedPolynomial._trusted(acc, cap, kappa, True)
+            kappa = _join_kappa(kappa, power.kappa)
+            factor_cap = _join_cap(cap, power.cap)
+            if term is None:  # the first factor: no products to form yet
+                term = power._terms
+                if factor_cap != power.cap:
+                    term = {m: c for m, c in term.items() if _weight(m, kappa) <= factor_cap}
+            else:
+                term = _product(term, power._terms, factor_cap, kappa)
+        if term is None:  # the constant monomial
+            term = {0: 1}
+        for m, c in term.items():
+            acc[m] = get(m, 0) + coeff * c
+    return _build(acc, cap, kappa, True)
 
 
 # ---------------------------------------------------------------------------
@@ -740,14 +923,10 @@ def parse(
                 raise ValueError(f"bad factor {tok!r} in {text!r}")
             name, digits, exp = m.groups()
             factors.append((_var_from_token(name, digits, chern), int(exp or 1)))
-        terms.append((tuple(factors), coeff))
+        terms.append((factors, coeff))
     if "".join(covered) != compact:
         raise ValueError(f"could not parse {text!r}")
-    acc: dict = {}
-    for mono, coeff in terms:
-        mono = _normalize_monomial(mono)
-        acc[mono] = acc.get(mono, 0) + coeff
-    return GradedPolynomial(acc, cap=cap, kappa=kappa)
+    return GradedPolynomial(terms, cap=cap, kappa=kappa)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ Subcommands:
 
 Input documents are strict JSON with every rational given as a string
 "p", "-p" or "p/q" (never a float), so exactness survives the trip through
-the command line; a key repeated inside one object is an input error.
+the command line; a key repeated inside one object, or a rational of more
+than ``MAX_RATIONAL_DIGITS`` digits, is an input error.
 
 Exit codes: 0 success, 1 verification failure, 2 input error, 3 internal
 error (an engine fault, never caused by the input).
@@ -33,6 +34,7 @@ from typing import Sequence
 
 from . import presets, surface, tables, threefold
 from .algebra import (
+    ExponentOverflowError,
     GradedPolynomial,
     IncompleteSubstitutionError,
     NonUnitSeriesError,
@@ -48,6 +50,15 @@ SURFACE_CHARACTER_KEYS = ["d", "eps0", "C", "T"]
 THREEFOLD_CHARACTER_KEYS = ["d", "mu0", "t", "q", "s_t", "gamma", "chi_C"]
 
 _RATIONAL_RE = re.compile(r"^-?\d+(?:/[1-9]\d*)?$")
+
+# Every printed number (a character, a residual, a check detail) is a
+# polynomial of total degree at most 4 in the entries of one document, with
+# small coefficients.  Its numerator and denominator then have at most 4
+# times the summed digits of the entries (numerators and denominators,
+# seven entries at most), plus a few for the coefficients.  Bounding each
+# entry keeps that under CPython's default limit of 4300 digits for int/str
+# conversion, so every accepted document prints.
+MAX_RATIONAL_DIGITS = (4300 - 100) // (4 * len(THREEFOLD_KEYS))
 
 
 class InputError(ValueError):
@@ -81,6 +92,11 @@ def _parse_rational(value, path: str) -> Fraction:
         )
     if not _RATIONAL_RE.match(value):
         raise InputError(f"{path}: malformed rational {value!r}")
+    digits = len(value) - value.count("-") - value.count("/")
+    if digits > MAX_RATIONAL_DIGITS:
+        raise InputError(
+            f"{path}: rational has {digits} digits, the limit is {MAX_RATIONAL_DIGITS}"
+        )
     return Fraction(value)
 
 
@@ -379,7 +395,7 @@ def run_command(argv: Sequence[str] | None = None, stdin=None, stdout=None, stde
 
         raise InputError(f"unknown command {args.command!r}")
     except (RingMismatchError, NonUnitSeriesError, IncompleteSubstitutionError,
-            TruncationError, tables.TableMissError) as exc:
+            ExponentOverflowError, TruncationError, tables.TableMissError) as exc:
         print(f"internal error: {exc}", file=err)
         return 3
     except (InputError, ValueError, OSError) as exc:

@@ -33,12 +33,12 @@ from .algebra import (
     atom,
     chern_indices,
     constant,
+    gysin_map,
     index_digits,
     index_weight,
     invert_unit_series,
     lift,
     source_chern,
-    split_term,
     substitute,
     trim_index,
     var_label,
@@ -193,16 +193,14 @@ class MapContext:
         monomial c_I(TM) * at^j goes to xi(I) * a^(weight(I) + j + kappa).
         Powers of ``a`` beyond the target dimension vanish.
         """
-        total = GradedPolynomial(cap=self._n)
-        a = atom(TARGET_HYPERPLANE_VAR, cap=self._n)
-        for mono, coeff in x.truncated(self._m).items():
-            index, hyper, scalar = split_term(
-                mono, coeff, VarKind.SOURCE_CHERN, SOURCE_HYPERPLANE_VAR
-            )
-            power = index_weight(index) + hyper + self.kappa
-            if power <= self._n:
-                total = total + scalar * self._xi[index] * a ** power
-        return total
+        n, kappa, xi = self._n, self.kappa, self._xi
+
+        def image(index, hyper, weight):
+            power = weight + kappa
+            return (xi[index], power) if power <= n else None
+
+        return gysin_map(x, VarKind.SOURCE_CHERN, SOURCE_HYPERPLANE_VAR, image,
+                         target_var=TARGET_HYPERPLANE_VAR, cap=n)
 
     def pullback(self, y: GradedPolynomial) -> GradedPolynomial:
         """Pull a target class back to the source: a -> at, truncated at m."""
@@ -257,14 +255,9 @@ class MapContext:
         Each top monomial c_I(TM) * at^(m - weight(I)) contributes its
         coefficient times xi(I); lighter monomials have no degree.
         """
-        total = GradedPolynomial()
-        for mono, coeff in x.items():
-            index, hyper, scalar = split_term(
-                mono, coeff, VarKind.SOURCE_CHERN, SOURCE_HYPERPLANE_VAR
-            )
-            if index_weight(index) + hyper == self._m:
-                total = total + scalar * self._xi[index]
-        return total
+        m, xi = self._m, self._xi
+        return gysin_map(x, VarKind.SOURCE_CHERN, SOURCE_HYPERPLANE_VAR,
+                         lambda index, hyper, weight: (xi[index], 0) if weight == m else None)
 
     def project(self) -> "MapContext":
         """Compose with a generic linear projection P^n -> P^(n-1).

@@ -19,30 +19,29 @@ case the table entries are exact polynomials in the scalar symbol ``d``.
 from __future__ import annotations
 
 from .algebra import (
+    ONE,
     GradedPolynomial,
     SOURCE_HYPERPLANE_VAR,
-    ZERO,
     atom,
     chern_indices,
     constant,
     degree_symbol,
+    gysin_map,
     index_weight,
     invert_unit_series,
     lift,
     source_chern,
-    split_term,
 )
 from .context import MapContext, Scalar, make_context, xi_label
 
 
 def _hyperplane_coefficients(series: GradedPolynomial, top: int) -> list:
     """Scalar coefficients of h^0 ... h^top in a series over the h-line."""
-    coeffs = [ZERO] * (top + 1)
-    for mono, coeff in series.items():
-        _, power, scalar = split_term(mono, coeff, None, SOURCE_HYPERPLANE_VAR)
-        if power <= top:
-            coeffs[power] = coeffs[power] + scalar
-    return coeffs
+    return [
+        gysin_map(series, None, SOURCE_HYPERPLANE_VAR,
+                  lambda index, power, weight, k=k: (ONE, 0) if power == k else None)
+        for k in range(top + 1)
+    ]
 
 
 def _xi_from_line_data(

@@ -15,19 +15,15 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from . import tables
-from .algebra import TARGET_HYPERPLANE_VAR, GradedPolynomial, lift, render, split_term
+from .algebra import ONE, TARGET_HYPERPLANE_VAR, GradedPolynomial, gysin_map, lift, render
 from .context import SYMBOLIC, MapContext, Scalar, make_context
 from .report import Check
 
 
 def target_coefficient(y: GradedPolynomial, power: int) -> Scalar:
     """Scalar coefficient of a^power in a target-ring class."""
-    total = GradedPolynomial()
-    for mono, coeff in y.items():
-        _, a_exp, scalar = split_term(mono, coeff, None, TARGET_HYPERPLANE_VAR)
-        if a_exp == power:
-            total = total + scalar
-    return total
+    return gysin_map(y, None, TARGET_HYPERPLANE_VAR,
+                     lambda index, a_exp, weight: (ONE, 0) if a_exp == power else None)
 
 
 @dataclass(frozen=True)

@@ -26,10 +26,10 @@ from .algebra import (
     SOURCE_HYPERPLANE_VAR,
     VarKind,
     atom,
+    gysin_map,
     lift,
     render,
     source_chern,
-    split_term,
 )
 from .context import SYMBOLIC, MapContext, Scalar, make_context, quotient_chern_classes
 from .report import Check
@@ -72,14 +72,13 @@ def _gysin_push(y: GradedPolynomial, table: dict, cap: int) -> GradedPolynomial:
     Hyperplane powers and scalar symbols pass through by the projection
     formula; the ``c`` variables of the sub-locus select the table entry.
     """
-    at = atom(SOURCE_HYPERPLANE_VAR)
-    total = GradedPolynomial(cap=cap)
-    for mono, coeff in y.items():
-        key, hyper, scalar = split_term(mono, coeff, VarKind.SOURCE_CHERN, SOURCE_HYPERPLANE_VAR)
+    def image(key, hyper, weight):
         if key not in table:
             raise ValueError(f"no pushforward image for Chern monomial {key}")
-        total = total + scalar * at ** hyper * table[key]
-    return total.truncated(cap)
+        return table[key], hyper
+
+    return gysin_map(y, VarKind.SOURCE_CHERN, SOURCE_HYPERPLANE_VAR, image,
+                     target_var=SOURCE_HYPERPLANE_VAR, cap=cap)
 
 
 class CriticalSurfaceRing:

@@ -3,30 +3,36 @@
 from __future__ import annotations
 
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from charclass.algebra import (
+    EXPONENT_LIMIT,
+    ExponentOverflowError,
     GradedPolynomial,
     IncompleteSubstitutionError,
     NonUnitSeriesError,
     RingMismatchError,
     DEGREE_VAR,
     SOURCE_HYPERPLANE_VAR,
+    TARGET_HYPERPLANE_VAR,
+    Var,
     VarKind,
     atom,
     chern_indices,
     constant,
     degree_symbol,
+    gysin_map,
     invert_unit_series,
     landweber_novikov,
     parse,
     quotient_chern,
     render,
     source_chern,
-    split_term,
     substitute,
     trim_index,
     index_weight,
@@ -38,6 +44,7 @@ C1 = atom(quotient_chern(1))
 C2 = atom(quotient_chern(2))
 C3 = atom(quotient_chern(3))
 AT = atom(SOURCE_HYPERPLANE_VAR)
+A = atom(TARGET_HYPERPLANE_VAR)
 D = degree_symbol()
 
 
@@ -166,22 +173,112 @@ class TestSubstitute:
         with pytest.raises(IncompleteSubstitutionError):
             substitute(C1 * C2, {quotient_chern(1): constant(1)})
 
+    def test_constant_and_zero_images(self):
+        p = 5 * C1 * C2 + 2 + C1 * C2 ** 2
+        assert substitute(p, {quotient_chern(1): constant(3), quotient_chern(2): AT}) == (
+            2 + 15 * AT + 3 * AT ** 2)
+        assert substitute(p, {quotient_chern(1): AT, quotient_chern(2): constant(0)}) == 2
+
     def test_respects_cap(self):
         result = substitute(C1 ** 2, {quotient_chern(1): AT + AT ** 2}, cap=2)
         assert result == AT ** 2
 
 
-class TestSplitTerm:
+class TestGysinMap:
     def test_parts(self):
         c1, c3 = source_chern(1), source_chern(3)
         mono = ((c1, 2), (c3, 1), (SOURCE_HYPERPLANE_VAR, 2), (DEGREE_VAR, 1))
-        index, power, scalar = split_term(mono, Fraction(3, 2), VarKind.SOURCE_CHERN,
-                                          SOURCE_HYPERPLANE_VAR)
-        assert (index, power, scalar) == ((2, 0, 1), 2, Fraction(3, 2) * D)
+        seen = []
+
+        def image(index, power, weight):
+            seen.append((index, power, weight))
+            return constant(5), 3
+
+        p = GradedPolynomial({mono: Fraction(3, 2), ((DEGREE_VAR, 2),): 1})
+        result = gysin_map(p, VarKind.SOURCE_CHERN, SOURCE_HYPERPLANE_VAR, image,
+                           target_var=TARGET_HYPERPLANE_VAR)
+        assert sorted(seen) == [((), 0, 0), ((2, 0, 1), 2, 7)]
+        assert result == (Fraction(15, 2) * D + 5 * D ** 2) * A ** 3
+
+    def test_dropped_terms_and_cap(self):
+        p = 1 + 2 * AT + 3 * D * AT ** 2 + AT ** 3
+
+        def coefficient(k):
+            return gysin_map(p, None, SOURCE_HYPERPLANE_VAR,
+                             lambda index, power, weight: (constant(1), 0) if power == k else None)
+
+        assert [coefficient(k) for k in range(5)] == [1, 2, 3 * D, 1, 0]
+        shifted = gysin_map(p, None, SOURCE_HYPERPLANE_VAR,
+                            lambda index, power, weight: (constant(1), power + 1),
+                            target_var=SOURCE_HYPERPLANE_VAR, cap=2)
+        assert shifted.cap == 2 and shifted == AT + 2 * AT ** 2
 
     def test_foreign_variable_raises(self):
-        with pytest.raises(ValueError, match="c1"):
-            split_term(((quotient_chern(1), 1),), 1, VarKind.SOURCE_CHERN, SOURCE_HYPERPLANE_VAR)
+        with pytest.raises(RingMismatchError, match="c1"):
+            gysin_map(C1, VarKind.SOURCE_CHERN, SOURCE_HYPERPLANE_VAR,
+                      lambda index, power, weight: (constant(1), 0))
+
+
+class TestExponentLimits:
+    """Exponents and weights live in fixed-width fields; overflow must raise."""
+
+    def test_construction(self):
+        top = GradedPolynomial({((DEGREE_VAR, EXPONENT_LIMIT),): 1})
+        assert render(top) == f"d^{EXPONENT_LIMIT}"
+        for mono in [((DEGREE_VAR, 70000),), ((DEGREE_VAR, EXPONENT_LIMIT), (DEGREE_VAR, 1)),
+                     ((quotient_chern(3), 20000),)]:  # the last: weight 60000
+            with pytest.raises(ExponentOverflowError, match=f"limit of {EXPONENT_LIMIT}"):
+                GradedPolynomial({mono: 1})
+
+    def test_parse(self):
+        assert parse(f"d^{EXPONENT_LIMIT}") == D ** EXPONENT_LIMIT
+        for text in ["d^70000", "3*xi1^40000 + d", "c2^20000"]:
+            with pytest.raises(ExponentOverflowError, match=f"limit of {EXPONENT_LIMIT}"):
+                parse(text)
+
+    def test_power(self):
+        assert render(D ** EXPONENT_LIMIT) == f"d^{EXPONENT_LIMIT}"
+        for base, power in [(D, 70000), (D, EXPONENT_LIMIT + 1), (D ** 2, 20000),
+                            (3 * C3, 20000)]:
+            with pytest.raises(ExponentOverflowError, match=f"limit of {EXPONENT_LIMIT}"):
+                base ** power
+
+    def test_product(self):
+        half = D ** 20000
+        assert render(half * D ** (EXPONENT_LIMIT - 20000)) == f"d^{EXPONENT_LIMIT}"
+        for left, right in [(half, half), (half + C1, 1 + half), (C3 ** 10000, C3 ** 1000)]:
+            with pytest.raises(ExponentOverflowError, match=f"limit of {EXPONENT_LIMIT}"):
+                left * right
+        with pytest.raises(ExponentOverflowError):
+            substitute(C1 * C2, {quotient_chern(1): half, quotient_chern(2): half})
+
+
+def test_first_use_from_many_threads_gives_one_encoding():
+    rounds = [[Var(VarKind.XI, (8, 8, 8, r, k)) for k in range(1, 11)] for r in range(1, 101)]
+    start = threading.Barrier(8)
+    results = [[] for _ in range(8)]
+
+    def work(slot):
+        for fresh in rounds:
+            start.wait(timeout=30)  # all threads meet each round's variables first
+            results[slot].append([atom(v) for v in fresh])
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    for atoms in results:
+        assert atoms == results[0]
+    for r, fresh in enumerate(rounds):
+        for k, v in enumerate(fresh):
+            assert results[3][r][k] * results[5][r][k] == GradedPolynomial({((v, 2),): 1})
 
 
 class TestComponentOfWeight:

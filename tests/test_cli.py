@@ -14,8 +14,15 @@ import pytest
 
 import charclass
 from charclass import surface
-from charclass.algebra import IncompleteSubstitutionError, NonUnitSeriesError, RingMismatchError
-from charclass.cli import InputError, parse_input, run_command
+from charclass.algebra import (
+    TARGET_HYPERPLANE_VAR,
+    ExponentOverflowError,
+    IncompleteSubstitutionError,
+    NonUnitSeriesError,
+    RingMismatchError,
+    atom,
+)
+from charclass.cli import MAX_RATIONAL_DIGITS, InputError, parse_input, run_command
 from charclass.context import TruncationError
 from charclass.tables import TableMissError
 
@@ -81,6 +88,53 @@ class TestParseInput:
     def test_duplicate_key_rejected(self):
         with pytest.raises(InputError, match="duplicate key 'kind'"):
             parse_input('{"kind":"threefold","kind":"surface","chern_data":"symbolic"}')
+
+    @pytest.mark.parametrize("digits", [MAX_RATIONAL_DIGITS + 1, 4000, 5000])
+    def test_rational_digits_bounded(self, digits):
+        entries = {"d": "4", "xi1": "6", "xi2": "9", "xi01": "3"}
+        for key, value in [("xi2", "7" * digits), ("xi01", "-1/" + "3" * (digits - 1))]:
+            doc = {"kind": "surface", "chern_data": dict(entries, **{key: value})}
+            code, out, err = run(["surface", "--json"], stdin_text=json.dumps(doc))
+            assert (code, out) == (2, "")
+            assert err == (f"error: $.chern_data.{key}: rational has {digits} digits, "
+                           f"the limit is {MAX_RATIONAL_DIGITS}\n")
+        chars = {"d": "4", "eps0": "3", "C": "7" * digits, "T": "1"}
+        code, _, err = run(["invert", "--kind", "surface"],
+                           stdin_text=json.dumps({"characters": chars}))
+        assert code == 2 and "$.characters.C" in err and f"limit is {MAX_RATIONAL_DIGITS}" in err
+
+
+def _wide(digits: int, seed: int) -> str:
+    """A rational of exactly ``digits`` digits with a large denominator."""
+    top = str(10 ** (digits // 2 - 1) + seed)
+    bottom = str(10 ** (digits - len(top) - 1) + 2 * seed + 1)
+    return f"-{top}/{bottom}"
+
+
+@pytest.mark.parametrize("kind", ["surface", "threefold"])
+def test_rationals_at_the_digit_bound_print_exactly(kind):
+    """Entries of the largest accepted size: every value prints, and is exact."""
+    keys = ["d", "xi1", "xi2", "xi01"] + (["xi3", "xi11", "xi001"] if kind == "threefold" else [])
+    table = {k: _wide(MAX_RATIONAL_DIGITS, i) for i, k in enumerate(keys)}
+    assert all(len(v) - 2 == MAX_RATIONAL_DIGITS for v in table.values())
+    code, out, err = run([kind, "--json"],
+                         stdin_text=json.dumps({"kind": kind, "chern_data": table}))
+    assert code == 1, err  # far from geometric: the integrality checks fail
+    chars = {k: Fraction(v) for k, v in json.loads(out)["characters"].items()}
+    d, x1, x2, x01 = (Fraction(table[k]) for k in ["d", "xi1", "xi2", "xi01"])
+    if kind == "surface":
+        assert chars["C"] == 6 * d - 4 * x1 + x2 - x01
+        assert chars["eps0"] == (d ** 2 - 4 * d + x1) / 2
+        assert chars["T"] == (44 * d - 12 * d ** 2 + d ** 3 + (3 * d - 24) * x1
+                              + 4 * x2 - 2 * x01) / 6
+    else:
+        x3, x11, x001 = (Fraction(table[k]) for k in ["xi3", "xi11", "xi001"])
+        assert chars["mu0"] == (-5 * d + d ** 2 + x1) / 2
+        assert chars["chi_C"] == -60 * d + x001 + 10 * x01 + 55 * x1 - 4 * x11 - 20 * x2 + 3 * x3
+        assert chars["q"] == Fraction(1, 4) * (
+            -295 * d + Fraction(355, 6) * d ** 2 - 5 * d ** 3 + Fraction(1, 6) * d ** 4
+            + 2 * x001 + (25 - Fraction(4, 3) * d) * x01 + (200 - 25 * d + d ** 2) * x1
+            + Fraction(1, 2) * x1 ** 2 - 7 * x11 + (-55 + Fraction(8, 3) * d) * x2 + 6 * x3)
 
 
 class TestPipelines:
@@ -268,7 +322,7 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "fault",
         [RingMismatchError, NonUnitSeriesError, IncompleteSubstitutionError,
-         TruncationError, TableMissError],
+         TruncationError, TableMissError, ExponentOverflowError],
     )
     def test_engine_fault_is_3(self, monkeypatch, fault):
         def broken(ctx):
@@ -278,6 +332,14 @@ class TestExitCodes:
         code, _, err = run(["surface"], stdin_text=ROMAN_DOC)
         assert code == 3
         assert err.startswith("internal error:") and "engine fault" in err
+
+    def test_foreign_variable_in_a_gysin_map_is_3(self, monkeypatch):
+        # a target-ring class integrated on the source is an engine bug
+        monkeypatch.setattr(surface, "surface_characters",
+                            lambda ctx: ctx.integrate(atom(TARGET_HYPERPLANE_VAR)))
+        code, _, err = run(["surface"], stdin_text=ROMAN_DOC)
+        assert code == 3
+        assert err == "internal error: variable a does not belong to this ring\n"
 
 
 @pytest.mark.parametrize("module", ["charclass", "charclass.cli"])
@@ -291,3 +353,46 @@ def test_python_m_entry_point(module):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "36/36 checks passed"
+
+
+INTERN_FIRST = """
+import sys
+from charclass import algebra
+from charclass.cli import run_command
+
+# every variable the pipelines use, interned in reverse canonical order
+names = ["c1", "c2", "c3", "s0", "s1", "s2", "s01", "s3", "s11", "s001", "at", "a",
+         "d", "xi1", "xi2", "xi01", "xi3", "xi11", "xi001"]
+for name in reversed(names):
+    algebra.parse(name, kappa=1)
+for name in ["c3", "c2", "c1"]:
+    algebra.parse(name, chern=algebra.VarKind.SOURCE_CHERN)
+argv = sys.argv[1:]
+stdin = None
+if argv[0] == "pipe":
+    import io
+    preset = io.StringIO()
+    run_command(["preset", *argv[2:]], stdout=preset)
+    argv, stdin = [argv[1], "--json"], io.StringIO(preset.getvalue())
+sys.exit(run_command(argv, stdin=stdin))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["verify", "--suite", "all"], "verify_all.txt"),
+        (["pipe", "threefold", "veronese-p3"], "veronese_p3_threefold.json"),
+        (["pipe", "surface", "roman-surface"], "roman_surface.json"),
+        (["pipe", "threefold", "smooth-threefold", "--degree", "1000000000000"],
+         "smooth_threefold_1e12.json"),
+    ],
+)
+def test_output_does_not_depend_on_interning_order(argv, golden):
+    src = str(Path(charclass.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", INTERN_FIRST, *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / golden).read_text(encoding="utf-8")
