@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import re
 import threading
-from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -669,7 +668,6 @@ def constant(value: Coefficient) -> GradedPolynomial:
     return GradedPolynomial({(): value})
 
 
-ZERO = GradedPolynomial()
 ONE = constant(1)
 
 
@@ -933,8 +931,15 @@ def parse(
 # universal classes
 
 
-@dataclass(frozen=True)
-class AbstractClass:
+class _AbstractClassFields(NamedTuple):
+    name: str
+    kappa: int
+    codim: int
+    body: GradedPolynomial
+    valid_to_weight: int | None = None
+
+
+class AbstractClass(_AbstractClassFields):
     """A universal polynomial in quotient Chern and Landweber-Novikov classes.
 
     ``codim`` is the codimension of the locus the class describes; for exact
@@ -942,14 +947,10 @@ class AbstractClass:
     series it is the highest weight the stored expansion is good for.
     """
 
-    name: str
-    kappa: int
-    codim: int
-    body: GradedPolynomial
-    valid_to_weight: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.body.kappa is not None and self.body.kappa != self.kappa:
-            raise RingMismatchError(
-                f"{self.name}: body kappa {self.body.kappa} != declared {self.kappa}"
-            )
+    def __new__(cls, name: str, kappa: int, codim: int, body: GradedPolynomial,
+                valid_to_weight: int | None = None):
+        if body.kappa is not None and body.kappa != kappa:
+            raise RingMismatchError(f"{name}: body kappa {body.kappa} != declared {kappa}")
+        return super().__new__(cls, name, kappa, codim, body, valid_to_weight)

@@ -13,8 +13,9 @@ Subcommands:
 
 Input documents are strict JSON with every rational given as a string
 "p", "-p" or "p/q" (never a float), so exactness survives the trip through
-the command line; a key repeated inside one object, or a rational of more
-than ``MAX_RATIONAL_DIGITS`` digits, is an input error.
+the command line; a key repeated inside one object, a rational or a JSON
+integer of more than ``MAX_RATIONAL_DIGITS`` digits, or nesting too deep for
+the parser is an input error.
 
 Exit codes: 0 success, 1 verification failure, 2 input error, 3 internal
 error (an engine fault, never caused by the input).
@@ -28,9 +29,8 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import presets, surface, tables, threefold
 from .algebra import (
@@ -65,8 +65,7 @@ class InputError(ValueError):
     """Invalid input document; the message carries the JSON path."""
 
 
-@dataclass(frozen=True)
-class InputDocument:
+class InputDocument(NamedTuple):
     kind: str  # "surface" | "threefold"
     chern_data: object  # dict[str, Fraction] or the string "symbolic"
 
@@ -121,12 +120,22 @@ def _unique_keys(pairs: list) -> dict:
     return doc
 
 
+def _json_int(text: str) -> int:
+    # bounded before conversion: CPython refuses to convert more than 4300 digits
+    digits = len(text) - text.startswith("-")
+    if digits > MAX_RATIONAL_DIGITS:
+        raise InputError(f"JSON integer has {digits} digits, the limit is {MAX_RATIONAL_DIGITS}")
+    return int(text)
+
+
 def _load_object(text: str) -> dict:
     """Parse a JSON document whose top level must be an object."""
     try:
-        doc = json.loads(text, object_pairs_hook=_unique_keys)
+        doc = json.loads(text, object_pairs_hook=_unique_keys, parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise InputError("invalid JSON: arrays or objects nested too deeply") from None
     if not isinstance(doc, dict):
         raise InputError("$: input document must be a JSON object")
     return doc
@@ -262,12 +271,12 @@ THREEFOLD_PROVENANCE = {
 
 def _derive(kind: str, character: str):
     if kind == "surface":
-        ctx = make_context(2, 3, SYMBOLIC)
-        chars = surface.surface_characters(ctx).as_dict()
+        chars = surface.surface_characters(make_context(2, 3, SYMBOLIC))._asdict()
         provenance = SURFACE_PROVENANCE
+        # the degree is mu0 among the surface characters but d in the 3-fold's
+        character = "mu0" if character == "d" else character
     else:
-        ctx = make_context(3, 4, SYMBOLIC)
-        chars = threefold.threefold_characters(ctx).as_dict()
+        chars = threefold.threefold_characters(make_context(3, 4, SYMBOLIC))._asdict()
         provenance = THREEFOLD_PROVENANCE
     if character not in chars:
         raise InputError(
@@ -332,10 +341,10 @@ def run_command(argv: Sequence[str] | None = None, stdin=None, stdout=None, stde
                 )
             ctx = doc.to_context()
             if args.command == "surface":
-                characters = surface.surface_characters(ctx).as_dict()
+                characters = surface.surface_characters(ctx)._asdict()
                 checks = surface.verify_surface_relations(ctx)
             else:
-                characters = threefold.threefold_characters(ctx).as_dict()
+                characters = threefold.threefold_characters(ctx)._asdict()
                 checks = threefold.verify_threefold_identities(ctx)
             _print_result(doc, characters, checks, args.json, out)
             return 0 if all_passed(checks) else 1

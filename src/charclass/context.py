@@ -19,8 +19,7 @@ path.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Mapping, Union
+from typing import Mapping
 
 from .algebra import (
     AbstractClass,
@@ -46,7 +45,6 @@ from .algebra import (
 )
 
 Scalar = GradedPolynomial
-XiValue = Union[int, Fraction, GradedPolynomial]
 
 SYMBOLIC = "symbolic"
 

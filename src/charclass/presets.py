@@ -139,6 +139,13 @@ PRESETS = {
 }
 
 
+# A smooth preset's entries are polynomials in its degree D of degree at most
+# 4, with leading coefficient -1 or 1 and the others at most 125 in size, so a
+# degree below 10^37 keeps every entry within the 150 digits an input document
+# may hold; every document ``preset`` prints then reads back in.
+MAX_DEGREE_DIGITS = 37
+
+
 def preset_names() -> list:
     return sorted(PRESETS)
 
@@ -150,6 +157,8 @@ def preset_context(name: str, degree=None):
     except KeyError:
         raise ValueError(f"unknown preset {name!r}; choose from {', '.join(preset_names())}") from None
     if needs_degree:
+        if degree is not None and not 1 <= degree < 10 ** MAX_DEGREE_DIGITS:
+            raise ValueError(f"--degree must be a positive integer of at most {MAX_DEGREE_DIGITS} digits")
         return kind, builder(degree)
     if degree is not None:
         raise ValueError(f"preset {name!r} does not take a degree")
@@ -161,8 +170,6 @@ def preset_document(name: str, degree=None) -> dict:
     kind, ctx = preset_context(name, degree)
     if not ctx.is_numeric():
         raise ValueError(f"preset {name!r} needs --degree")
-    if degree is not None and int(degree) < 1:
-        raise ValueError("degree must be a positive integer")
     data = {
         xi_label(index): str(value.constant_value())
         for index, value in sorted(ctx.xi.items(), key=lambda kv: (len(kv[0]), kv[0]))

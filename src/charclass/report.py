@@ -1,12 +1,20 @@
-"""Named pass/fail checks with exact residuals, shared by the verify suites."""
+"""Named pass/fail checks with exact residuals, shared by the verify suites.
+
+Most checks are identities: a row (name, got, want) passes when
+``got - want`` is exactly zero, and ``render(got - want)`` is its residual.
+:func:`identities` builds those rows and :func:`integrality` the numeric
+integrality and sign checks; the few checks that need another verdict are
+written out where they are made.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
+
+from .algebra import render
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """One verification item: a name, a verdict and the exact evidence."""
 
     name: str
@@ -22,6 +30,26 @@ class Check:
         if self.detail:
             extra += f" ({self.detail})"
         return f"{status} {self.name}{extra}"
+
+
+def identities(prefix: str, rows) -> list:
+    """One check ``prefix/name`` per (name, got, want) row."""
+    checks = []
+    for name, got, want in rows:
+        residual = got - want
+        checks.append(Check(f"{prefix}/{name}", residual.is_zero(), render(residual)))
+    return checks
+
+
+def integrality(prefix: str, values: dict, names, non_negative: bool) -> list:
+    """One check ``prefix/name`` that each named constant is an integer
+    (and, with ``non_negative``, at least zero), with the value as detail."""
+    checks = []
+    for name in names:
+        value = values[name].constant_value()
+        ok = value.denominator == 1 and (not non_negative or value >= 0)
+        checks.append(Check(f"{prefix}/{name}", ok, detail=f"value {value}"))
+    return checks
 
 
 def all_passed(checks) -> bool:

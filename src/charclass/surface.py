@@ -11,13 +11,13 @@ critical curve and the double curve come from the truncated Euler series.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import tables
 from .algebra import ONE, TARGET_HYPERPLANE_VAR, GradedPolynomial, gysin_map, lift, render
 from .context import SYMBOLIC, MapContext, Scalar, make_context
-from .report import Check
+from .report import Check, identities, integrality
 
 
 def target_coefficient(y: GradedPolynomial, power: int) -> Scalar:
@@ -26,8 +26,7 @@ def target_coefficient(y: GradedPolynomial, power: int) -> Scalar:
                      lambda index, a_exp, weight: (ONE, 0) if a_exp == power else None)
 
 
-@dataclass(frozen=True)
-class SurfaceCharacters:
+class SurfaceCharacters(NamedTuple):
     """The nine characters plus the two Euler characteristics behind them.
 
     ``mu0`` degree, ``mu1`` rank, ``mu2`` class, ``kappa_cusps`` cusps of a
@@ -49,7 +48,7 @@ class SurfaceCharacters:
     chi_double_curve: Scalar
 
     def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return self._asdict()
 
 
 def _require_surface(ctx: MapContext) -> None:
@@ -121,14 +120,48 @@ def surface_invert(d, eps0, C, T) -> tuple:
     return xi1, xi2, xi01
 
 
-def _closed_forms(ctx: MapContext, ch: SurfaceCharacters) -> list:
-    """Cross-checks of engine output against the classical closed forms."""
-    d = ctx.xi_scalar(())
+def verify_surface_relations(ctx: MapContext) -> list:
+    """The five classical relations plus the birational-invariant checks.
+
+    Characters are engine-computed; each relation reports the exact
+    difference of its two sides.  Numeric contexts additionally get
+    integrality checks, and every context gets the round trip through
+    :func:`surface_invert`.
+    """
+    _require_surface(ctx)
+    ch = surface_characters(ctx)
+    d = ch.mu0
     x1 = ctx.xi_scalar((1,))
     x2 = ctx.xi_scalar((2,))
     x01 = ctx.xi_scalar((0, 1))
+    checks = identities("surface/relation", [
+        ("i: d(d-1) = mu1 + 2 eps0", d * (d - 1), ch.mu1 + 2 * ch.eps0),
+        ("ii: mu1(d-2) = kappa + rho", ch.mu1 * (d - 2), ch.kappa_cusps + ch.rho),
+        ("iii: eps0(d-2) = rho + 3T", ch.eps0 * (d - 2), ch.rho + 3 * ch.T),
+        ("iv: 2rho - 2eps1 = C", 2 * ch.rho - 2 * ch.eps1, ch.C),
+        ("v: mu2 + 2C = mu1 + kappa", ch.mu2 + 2 * ch.C, ch.mu1 + ch.kappa_cusps),
+    ])
+    checks += identities("surface/pipeline", [
+        ("riemann-hurwitz: mu2 + kappa = 2 mu1 - chi(S(g))",
+         ch.mu2 + ch.kappa_cusps, 2 * ch.mu1 - ch.chi_critical_curve),
+    ])
+
+    # birational invariants from the elementary characters
+    omega = ch.mu2 - 6 * ch.mu1 + 9 * ch.mu0 + ch.C + 1
+    zeuthen_segre = ch.mu2 - 2 * ch.mu1 + 3 * ch.mu0 - 4
+    checks += identities("surface/invariant", [
+        ("omega = xi2 + 1", omega, x2 + 1),
+        ("zeuthen_segre = xi01 - 4", zeuthen_segre, x01 - 4),
+        ("omega + zeuthen_segre = xi2 + xi01 - 3", omega + zeuthen_segre, x2 + x01 - 3),
+    ])
+
+    # round trip through the inversion formulas
+    inverted = surface_invert(d, ch.eps0, ch.C, ch.T)
+    checks += identities("surface/roundtrip", zip(("xi1", "xi2", "xi01"), inverted, (x1, x2, x01)))
+
+    # engine output against the classical closed forms
     half = Fraction(1, 2)
-    expected = [
+    checks += identities("surface/closed-form", [
         ("C", ch.C, 6 * d - 4 * x1 + x2 - x01),
         ("T", ch.T, (44 * d - 12 * d ** 2 + d ** 3 + (3 * d - 24) * x1 + 4 * x2 - 2 * x01) / 6),
         ("eps0", ch.eps0, (d ** 2 - 4 * d + x1) / 2),
@@ -146,98 +179,12 @@ def _closed_forms(ctx: MapContext, ch: SurfaceCharacters) -> list:
         ("eps1", ch.eps1,
          3 * d ** 2 - 21 * d + (13 - d) * x1 + Fraction(3, 2) * x01 - Fraction(5, 2) * x2),
         ("eps1/elementary", ch.eps1, (d - 2) * ch.eps0 - 3 * ch.T - half * ch.C),
-    ]
-    checks = []
-    for name, engine, printed in expected:
-        residual = engine - printed
-        checks.append(
-            Check(
-                name=f"surface/closed-form/{name}",
-                passed=residual.is_zero(),
-                residual=render(residual),
-            )
-        )
-    return checks
-
-
-def _integrality(ch: SurfaceCharacters) -> list:
-    non_negative = ["C", "T", "eps0", "mu1", "mu2", "kappa_cusps"]
-    integral = non_negative + ["rho", "eps1"]
-    checks = []
-    values = ch.as_dict()
-    for name in integral:
-        value = values[name].constant_value()
-        ok = value.denominator == 1 and (name not in non_negative or value >= 0)
-        checks.append(
-            Check(
-                name=f"surface/integrality/{name}",
-                passed=ok,
-                detail=f"value {value}",
-            )
-        )
-    return checks
-
-
-def verify_surface_relations(ctx: MapContext) -> list:
-    """The five classical relations plus the birational-invariant checks.
-
-    Characters are engine-computed; each relation reports the exact
-    difference of its two sides.  Numeric contexts additionally get
-    integrality checks, and every context gets the round trip through
-    :func:`surface_invert`.
-    """
-    _require_surface(ctx)
-    ch = surface_characters(ctx)
-    d = ch.mu0
-    relations = [
-        ("i: d(d-1) = mu1 + 2 eps0", d * (d - 1) - (ch.mu1 + 2 * ch.eps0)),
-        ("ii: mu1(d-2) = kappa + rho", ch.mu1 * (d - 2) - (ch.kappa_cusps + ch.rho)),
-        ("iii: eps0(d-2) = rho + 3T", ch.eps0 * (d - 2) - (ch.rho + 3 * ch.T)),
-        ("iv: 2rho - 2eps1 = C", 2 * ch.rho - 2 * ch.eps1 - ch.C),
-        ("v: mu2 + 2C = mu1 + kappa", ch.mu2 + 2 * ch.C - (ch.mu1 + ch.kappa_cusps)),
-    ]
-    checks = [
-        Check(name=f"surface/relation/{name}", passed=res.is_zero(), residual=render(res))
-        for name, res in relations
-    ]
-    rh = ch.mu2 + ch.kappa_cusps - (2 * ch.mu1 - ch.chi_critical_curve)
-    checks.append(
-        Check(
-            name="surface/pipeline/riemann-hurwitz: mu2 + kappa = 2 mu1 - chi(S(g))",
-            passed=rh.is_zero(),
-            residual=render(rh),
-        )
-    )
-
-    # birational invariants from the elementary characters
-    omega = ch.mu2 - 6 * ch.mu1 + 9 * ch.mu0 + ch.C + 1
-    zeuthen_segre = ch.mu2 - 2 * ch.mu1 + 3 * ch.mu0 - 4
-    x2 = ctx.xi_scalar((2,))
-    x01 = ctx.xi_scalar((0, 1))
-    for name, res in [
-        ("omega = xi2 + 1", omega - (x2 + 1)),
-        ("zeuthen_segre = xi01 - 4", zeuthen_segre - (x01 - 4)),
-        ("omega + zeuthen_segre = xi2 + xi01 - 3", omega + zeuthen_segre - (x2 + x01 - 3)),
-    ]:
-        checks.append(
-            Check(name=f"surface/invariant/{name}", passed=res.is_zero(), residual=render(res))
-        )
-
-    # round trip through the inversion formulas
-    xi1, xi2, xi01 = surface_invert(d, ch.eps0, ch.C, ch.T)
-    for label, got, want in [
-        ("xi1", xi1, ctx.xi_scalar((1,))),
-        ("xi2", xi2, x2),
-        ("xi01", xi01, x01),
-    ]:
-        res = got - want
-        checks.append(
-            Check(name=f"surface/roundtrip/{label}", passed=res.is_zero(), residual=render(res))
-        )
-
-    checks.extend(_closed_forms(ctx, ch))
+    ])
     if ctx.is_numeric():
-        checks.extend(_integrality(ch))
+        values = ch._asdict()
+        checks += integrality("surface/integrality", values,
+                              ["C", "T", "eps0", "mu1", "mu2", "kappa_cusps"], True)
+        checks += integrality("surface/integrality", values, ["rho", "eps1"], False)
     return checks
 
 
@@ -256,19 +203,13 @@ def surface_typo_diagnostics() -> list:
     x1 = ctx.xi_scalar((1,))
     x2 = ctx.xi_scalar((2,))
     x01 = ctx.xi_scalar((0, 1))
-    checks = []
 
     # rho: the transcribed line swaps the xi2 and xi01 coefficients.
     printed_rho = -18 * d + 3 * d ** 2 + (11 - d) * x1 - 2 * x01 + x2
-    agrees = ch.rho - ((d - 2) * ch.eps0 - 3 * ch.T)
     delta = ch.rho - printed_rho
-    checks.append(
-        Check(
-            name="surface/typo/rho-agrees-with-elementary-form",
-            passed=agrees.is_zero(),
-            residual=render(agrees),
-        )
-    )
+    checks = identities("surface/typo", [
+        ("rho-agrees-with-elementary-form", ch.rho, (d - 2) * ch.eps0 - 3 * ch.T),
+    ])
     checks.append(
         Check(
             name="surface/typo/rho-line-swaps-xi2-xi01",

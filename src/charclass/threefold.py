@@ -17,8 +17,8 @@ relating them to the multiple-point classes of f.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import tables
 from .algebra import (
@@ -32,11 +32,10 @@ from .algebra import (
     source_chern,
 )
 from .context import SYMBOLIC, MapContext, Scalar, make_context, quotient_chern_classes
-from .report import Check
+from .report import Check, identities, integrality
 
 
-@dataclass(frozen=True)
-class ThreefoldCharacters:
+class ThreefoldCharacters(NamedTuple):
     """Basic, elementary and derived characters of a singular 3-fold."""
 
     d: Scalar
@@ -55,7 +54,7 @@ class ThreefoldCharacters:
     total_polar: Scalar
 
     def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return self._asdict()
 
 
 def _require_threefold(ctx: MapContext) -> None:
@@ -214,8 +213,7 @@ def elementary_characters(ctx: MapContext) -> tuple:
     return m1, m2, m3, D_swallowtail, B_plus_D, total_polar
 
 
-@dataclass(frozen=True)
-class DoubleLocusData:
+class DoubleLocusData(NamedTuple):
     """Pushed-forward classes of the resolved double-point surface.
 
     ``fundamental`` is the class of the double-point surface in the source;
@@ -341,7 +339,7 @@ def verify_threefold_identities(ctx: MapContext) -> list:
     third = Fraction(1, 3)
     quarter = Fraction(1, 4)
 
-    closed = [
+    checks = identities("threefold/closed-form", [
         ("mu0", ch.mu0, half * (-5 * d + d ** 2 + x1)),
         ("t", ch.t,
          third * (35 * d - Fraction(15, 2) * d ** 2 + half * d ** 3 - x01 - 15 * x1
@@ -366,24 +364,12 @@ def verify_threefold_identities(ctx: MapContext) -> list:
          + 4 * ch.chi_C),
         ("K_dot_S", ch.K_dot_S, -10 * x1 + x11 + 5 * x2 - x3),
         ("K_dot_S/characters", ch.K_dot_S, half * ch.s_t - half * d * ch.gamma - ch.chi_C),
-    ]
-    checks = [
-        Check(name=f"threefold/closed-form/{name}", passed=(engine - want).is_zero(),
-              residual=render(engine - want))
-        for name, engine, want in closed
-    ]
+    ])
 
     # inversion round trip: characters back to the Chern degrees
     inverted = threefold_invert(d, ch.mu0, ch.t, ch.q, ch.s_t, ch.gamma, ch.chi_C)
-    for label, got, want in zip(
-        ["xi1", "xi2", "xi01", "xi3", "xi11", "xi001"],
-        inverted,
-        [x1, x2, x01, x3, x11, x001],
-    ):
-        res = got - want
-        checks.append(
-            Check(name=f"threefold/roundtrip/{label}", passed=res.is_zero(), residual=render(res))
-        )
+    checks += identities("threefold/roundtrip", zip(
+        ("xi1", "xi2", "xi01", "xi3", "xi11", "xi001"), inverted, (x1, x2, x01, x3, x11, x001)))
 
     # double-locus consistency: the solved classes rebuild the multiple-point
     # classes they came from
@@ -394,27 +380,17 @@ def verify_threefold_identities(ctx: MapContext) -> list:
     s1 = c1 * s0 - data.first_chern
     s2 = c1 ** 2 * s0 - 2 * c1 * data.first_chern + data.first_chern_square
     s01 = c2 * s0 - c1 * data.first_chern + data.first_chern_square - data.second_chern
-    double_pairs = [
+    checks += identities("threefold/double-locus", [
         ("double-points", s0 ** 2 - s1, 2 * ctx.evaluate(tables.thom_polynomial("A0^3", 1))),
         ("triple-points", (s0 ** 3 - 3 * s0 * s1 + 2 * s2 + 2 * s01) / 2,
          3 * ctx.evaluate(tables.thom_polynomial("A0^4", 1))),
         ("crosscaps", s01, ctx.evaluate(tables.thom_polynomial("A0A1", 1))),
-    ]
-    for name, got, want in double_pairs:
-        res = got - want
-        checks.append(
-            Check(name=f"threefold/double-locus/{name}", passed=res.is_zero(), residual=render(res))
-        )
+    ])
 
     if ctx.is_numeric():
-        for name in ["d", "mu0", "t", "q", "s_t", "gamma", "m1", "m2", "m3",
-                     "D_swallowtail", "B_plus_D", "total_polar"]:
-            value = ch.as_dict()[name].constant_value()
-            checks.append(
-                Check(name=f"threefold/integrality/{name}",
-                      passed=value.denominator == 1 and value >= 0,
-                      detail=f"value {value}")
-            )
+        checks += integrality("threefold/integrality", ch._asdict(),
+                              ["d", "mu0", "t", "q", "s_t", "gamma", "m1", "m2", "m3",
+                               "D_swallowtail", "B_plus_D", "total_polar"], True)
         chi = ch.chi_C.constant_value()
         checks.append(
             Check(name="threefold/parity/chi_C-even",

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from charclass.algebra import (
     EXPONENT_LIMIT,
+    AbstractClass,
     ExponentOverflowError,
     GradedPolynomial,
     IncompleteSubstitutionError,
@@ -105,6 +106,12 @@ class TestRingArithmetic:
     def test_landweber_atom_requires_kappa(self):
         with pytest.raises(RingMismatchError):
             GradedPolynomial({((landweber_novikov(()), 1),): 1})
+
+    def test_universal_class_body_must_live_at_its_kappa(self):
+        body = s_atom((1,), kappa=1)
+        assert AbstractClass("s1", 1, 2, body).body == body
+        with pytest.raises(RingMismatchError, match="s1: body kappa 1 != declared 0"):
+            AbstractClass("s1", 0, 2, body)
 
     def test_weights_depend_on_kappa(self):
         s1 = s_atom((1,), kappa=0)

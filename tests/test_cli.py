@@ -24,6 +24,7 @@ from charclass.algebra import (
 )
 from charclass.cli import MAX_RATIONAL_DIGITS, InputError, parse_input, run_command
 from charclass.context import TruncationError
+from charclass.presets import MAX_DEGREE_DIGITS
 from charclass.tables import TableMissError
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -88,6 +89,22 @@ class TestParseInput:
     def test_duplicate_key_rejected(self):
         with pytest.raises(InputError, match="duplicate key 'kind'"):
             parse_input('{"kind":"threefold","kind":"surface","chern_data":"symbolic"}')
+
+    def test_deep_nesting_is_an_input_error(self):
+        for text in ["[" * 100000, '{"a":' * 100000]:
+            code, out, err = run(["surface"], stdin_text=text)
+            assert (code, out) == (2, "")
+            assert err == "error: invalid JSON: arrays or objects nested too deeply\n"
+
+    def test_json_integer_digits_bounded(self):
+        doc = '{"kind": "surface", "chern_data": {"d": %s, "xi1": "6", "xi2": "9", "xi01": "3"}}'
+        for digits in [MAX_RATIONAL_DIGITS + 1, 5000]:
+            code, out, err = run(["surface"], stdin_text=doc % ("-" + "7" * digits))
+            assert (code, out) == (2, "")
+            assert err == (f"error: JSON integer has {digits} digits, "
+                           f"the limit is {MAX_RATIONAL_DIGITS}\n")
+        code, _, err = run(["surface"], stdin_text=doc % ("7" * MAX_RATIONAL_DIGITS))
+        assert code == 2 and "rationals must be strings" in err
 
     @pytest.mark.parametrize("digits", [MAX_RATIONAL_DIGITS + 1, 4000, 5000])
     def test_rational_digits_bounded(self, digits):
@@ -275,6 +292,15 @@ class TestDerive:
         code, out, _ = run(["derive", "--kind", "threefold", "--character", "K_dot_S"])
         assert code == 0 and "K_dot_S = " in out
 
+    def test_degree_is_d_for_both_kinds(self):
+        for kind in ["surface", "threefold"]:
+            code, out, _ = run(["derive", "--kind", kind, "--character", "d", "--json"])
+            assert code == 0
+            doc = json.loads(out)
+            assert (doc["character"], doc["polynomial"]) == ("d", "d")
+        code, out, _ = run(["derive", "--kind", "surface", "--character", "mu0"])
+        assert code == 0 and out.startswith("mu0 = d\n")
+
     def test_unknown_character(self):
         code, _, err = run(["derive", "--kind", "surface", "--character", "nope"])
         assert code == 2 and "unknown character" in err
@@ -296,6 +322,20 @@ class TestPreset:
     def test_degree_required(self):
         code, _, err = run(["preset", "smooth-surface"])
         assert code == 2 and "--degree" in err
+
+    @pytest.mark.parametrize("preset, kind", [("smooth-surface", "surface"),
+                                               ("smooth-threefold", "threefold")])
+    def test_degree_bound(self, preset, kind):
+        """Every degree `preset` accepts prints a document its kind accepts."""
+        code, doc, _ = run(["preset", preset, "--degree", str(10 ** MAX_DEGREE_DIGITS - 1)])
+        assert code == 0
+        code, out, err = run([kind], stdin_text=doc)
+        assert code == 0, err
+        for degree in [0, -3, 10 ** MAX_DEGREE_DIGITS, 10 ** 1100]:
+            code, out, err = run(["preset", preset, "--degree", str(degree)])
+            assert (code, out) == (2, "")
+            assert err == ("error: --degree must be a positive integer of at most "
+                           f"{MAX_DEGREE_DIGITS} digits\n")
 
     def test_unknown(self):
         code, _, err = run(["preset", "moebius"])
@@ -353,6 +393,17 @@ def test_python_m_entry_point(module):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "36/36 checks passed"
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    src = str(Path(charclass.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys; before = set(sys.modules); import charclass.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
 INTERN_FIRST = """

@@ -150,6 +150,16 @@ class TestRelationsReport:
         names = {c.name for c in verify_surface_relations(roman_surface_context())}
         assert any("integrality" in n for n in names)
 
+    def test_failing_identity_reports_got_minus_want(self):
+        # every residual in the goldens is 0, so the sign is pinned here
+        ctx = roman_surface_context()
+        ch = surface_characters(roman_surface_context())
+        ctx.memo("surface_characters", lambda: ch._replace(C=ch.C + 1))
+        checks = {c.name: c for c in verify_surface_relations(ctx)}
+        assert str(checks["surface/closed-form/C"]) == "FAIL surface/closed-form/C residual=1"
+        assert checks["surface/relation/iv: 2rho - 2eps1 = C"].residual == "-1"
+        assert checks["surface/integrality/C"] == ("surface/integrality/C", True, None, "value 7")
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             surface_characters(make_context(3, 4, SYMBOLIC))
