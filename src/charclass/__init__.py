@@ -54,7 +54,6 @@ from .surface import (
 )
 from .tables import TableMissError, ssm_series, thom_polynomial, validate_tables
 from .threefold import (
-    CriticalSurfaceRing,
     DoubleLocusData,
     ThreefoldCharacters,
     canonical_dot_critical,

@@ -91,16 +91,6 @@ def index_digits(index: MultiIndex) -> str:
     return "".join(str(e) for e in index)
 
 
-def _partitions(n: int, max_part: int | None = None) -> Iterator[tuple]:
-    if n == 0:
-        yield ()
-        return
-    top = max_part if max_part is not None else n
-    for k in range(min(n, top), 0, -1):
-        for rest in _partitions(n - k, k):
-            yield (k,) + rest
-
-
 def chern_indices(max_weight: int) -> list:
     """All multi-indices of weight <= max_weight, the empty index included.
 
@@ -112,14 +102,13 @@ def chern_indices(max_weight: int) -> list:
 
 @lru_cache(maxsize=None)
 def _chern_indices(max_weight: int) -> tuple:
-    out = [()]
-    for w in range(1, max_weight + 1):
-        for part in _partitions(w):
-            exps = [0] * max(part)
-            for k in part:
-                exps[k - 1] += 1
-            out.append(tuple(exps))
-    return tuple(sorted(set(out), key=lambda i: (index_weight(i), i)))
+    # (exponents of c_1 .. c_k, weight), one position at a time, pruned by weight
+    found = [((), 0)]
+    for k in range(1, max_weight + 1):
+        found = [(exps + (e,), w + k * e)
+                 for exps, w in found for e in range((max_weight - w) // k + 1)]
+    indices = {trim_index(exps) for exps, _ in found}
+    return tuple(sorted(indices, key=lambda i: (index_weight(i), i)))
 
 
 # ---------------------------------------------------------------------------
@@ -459,16 +448,6 @@ class GradedPolynomial:
     def variables(self) -> set:
         return {v for mono in self._terms for v, _ in _decode(mono)}
 
-    def weight_components(self) -> dict:
-        """Decompose into homogeneous parts, keyed by weight."""
-        parts: dict = {}
-        for mono, coeff in self._terms.items():
-            parts.setdefault(_weight(mono, self.kappa), {})[mono] = coeff
-        return {
-            w: _build(ts, self.cap, self.kappa, True)
-            for w, ts in sorted(parts.items())
-        }
-
     def component(self, weight: int) -> "GradedPolynomial":
         """The homogeneous part of the given total weight (possibly zero)."""
         kappa = self.kappa
@@ -526,9 +505,6 @@ class GradedPolynomial:
         return _build(
             {m: -c for m, c in self._terms.items()}, self.cap, self.kappa, True
         )
-
-    def __pos__(self) -> "GradedPolynomial":
-        return self
 
     def __sub__(self, other) -> "GradedPolynomial":
         return self._plus(other, True)
@@ -602,14 +578,6 @@ class GradedPolynomial:
                 raise ValueError("weight cap must be non-negative")
         capped = cap is None or (self.cap is not None and cap >= self.cap)
         return _build(self._terms, cap, self.kappa, capped)
-
-    def sorted_items(self) -> list:
-        """Terms in canonical order: by total weight, then by monomial."""
-        kappa = self.kappa
-        keyed = sorted(
-            (_weight(m, kappa), _decode(m), c) for m, c in self._terms.items()
-        )
-        return [(mono, c) for _, mono, c in keyed]
 
     def __str__(self) -> str:
         return render(self)
@@ -757,6 +725,13 @@ def gysin_map(
     return _build(acc, cap, kappa)
 
 
+def hyperplane_coefficient(p: GradedPolynomial, hyperplane_var: Var,
+                           power: int) -> GradedPolynomial:
+    """Scalar coefficient of hyperplane_var^power; other non-scalar variables raise."""
+    return gysin_map(p, None, hyperplane_var,
+                     lambda index, exp, weight: (ONE, 0) if exp == power else None)
+
+
 # ---------------------------------------------------------------------------
 # series operations
 
@@ -846,7 +821,8 @@ def render(p: GradedPolynomial) -> str:
     if p.is_zero():
         return "0"
     pieces = []
-    for mono, coeff in p.sorted_items():
+    terms = sorted((_weight(m, p.kappa), _decode(m), c) for m, c in p._terms.items())
+    for _, mono, coeff in terms:
         body = "*".join(
             var_label(v) if e == 1 else f"{var_label(v)}^{e}" for v, e in mono
         )

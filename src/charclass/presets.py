@@ -19,29 +19,19 @@ case the table entries are exact polynomials in the scalar symbol ``d``.
 from __future__ import annotations
 
 from .algebra import (
-    ONE,
     GradedPolynomial,
     SOURCE_HYPERPLANE_VAR,
     atom,
     chern_indices,
     constant,
     degree_symbol,
-    gysin_map,
+    hyperplane_coefficient,
     index_weight,
     invert_unit_series,
     lift,
     source_chern,
 )
 from .context import MapContext, Scalar, make_context, xi_label
-
-
-def _hyperplane_coefficients(series: GradedPolynomial, top: int) -> list:
-    """Scalar coefficients of h^0 ... h^top in a series over the h-line."""
-    return [
-        gysin_map(series, None, SOURCE_HYPERPLANE_VAR,
-                  lambda index, power, weight, k=k: (ONE, 0) if power == k else None)
-        for k in range(top + 1)
-    ]
 
 
 def _xi_from_line_data(
@@ -53,7 +43,7 @@ def _xi_from_line_data(
     the degree of f_*(c_I) is (prod of gamma_k^{i_k}) * e^(m - weight I)
     times the degree of h^m.
     """
-    gammas = _hyperplane_coefficients(tangent_total, m)
+    gammas = [hyperplane_coefficient(tangent_total, SOURCE_HYPERPLANE_VAR, k) for k in range(m + 1)]
     table = {}
     for index in chern_indices(m):
         value = constant(1)
@@ -101,7 +91,7 @@ def hypersurface_tangent_images(source_dim: int, degree=None) -> dict:
     """
     m = int(source_dim)
     _, h, tangent = _adjunction(m, degree)
-    gammas = _hyperplane_coefficients(tangent, m)
+    gammas = [hyperplane_coefficient(tangent, SOURCE_HYPERPLANE_VAR, k) for k in range(m + 1)]
     images = {source_chern(k): gammas[k] * h ** k for k in range(1, m + 1)}
     images[SOURCE_HYPERPLANE_VAR] = h
     return images

@@ -15,15 +15,9 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import tables
-from .algebra import ONE, TARGET_HYPERPLANE_VAR, GradedPolynomial, gysin_map, lift, render
+from .algebra import TARGET_HYPERPLANE_VAR, hyperplane_coefficient, lift, render
 from .context import SYMBOLIC, MapContext, Scalar, make_context
 from .report import Check, identities, integrality
-
-
-def target_coefficient(y: GradedPolynomial, power: int) -> Scalar:
-    """Scalar coefficient of a^power in a target-ring class."""
-    return gysin_map(y, None, TARGET_HYPERPLANE_VAR,
-                     lambda index, a_exp, weight: (ONE, 0) if a_exp == power else None)
 
 
 class SurfaceCharacters(NamedTuple):
@@ -221,7 +215,7 @@ def surface_typo_diagnostics() -> list:
 
     # s01: the transcribed coefficient has a stray hyperplane symbol where
     # the degree d belongs; the crosscap count fixes the correct value.
-    engine_coeff = target_coefficient(ctx.landweber_novikov((0, 1)), 3)
+    engine_coeff = hyperplane_coefficient(ctx.landweber_novikov((0, 1)), TARGET_HYPERPLANE_VAR, 3)
     corrected = 6 * d - 4 * x1 + x2 - x01
     line_rest = -4 * x1 + x2 - x01  # the well-defined part of the transcribed line
     checks.append(

@@ -132,17 +132,16 @@ def validate_tables() -> list:
 
 
 def golden_roundtrip() -> list:
-    """Bit-exact rendering check of every table line against the data file."""
+    """Bit-exact rendering check of each registry entry (file order) against its line."""
     checks = []
-    for line in _raw_lines():
-        fields = [f.strip() for f in line.split("|")]
-        entry = _parse_line(line)
-        ok = render(entry.body) == fields[3]
+    for line, entry in zip(_raw_lines(), _registry().values(), strict=True):
+        text = line.split("|")[3].strip()
+        ok = render(entry.body) == text
         checks.append(
             Check(
                 name=f"tables/golden/{entry.name}@kappa={entry.kappa}",
                 passed=ok,
-                detail=None if ok else f"file {fields[3]!r} != render {render(entry.body)!r}",
+                detail=None if ok else f"file {text!r} != render {render(entry.body)!r}",
             )
         )
     return checks

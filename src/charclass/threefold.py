@@ -9,7 +9,8 @@ nested projection chain
     g: M -> P^3,   h: S_1 -> P^2,   h': S(h) -> P^1,
 
 where S_1 is the critical surface of g and S(h) the critical curve of h;
-classes on those loci are pushed back to M through small Gysin tables.
+classes on those loci are pushed back to M through small Gysin tables, dicts
+from the Chern monomials of a locus to their images one level up.
 The double-point surface is handled through the resolution map phi into M,
 whose pushed-forward Chern classes are solved from the triangular system
 relating them to the multiple-point classes of f.
@@ -23,6 +24,7 @@ from typing import NamedTuple
 from . import tables
 from .algebra import (
     GradedPolynomial,
+    RingMismatchError,
     SOURCE_HYPERPLANE_VAR,
     VarKind,
     atom,
@@ -73,56 +75,30 @@ def _gysin_push(y: GradedPolynomial, table: dict, cap: int) -> GradedPolynomial:
     """
     def image(key, hyper, weight):
         if key not in table:
-            raise ValueError(f"no pushforward image for Chern monomial {key}")
+            raise RingMismatchError(f"no pushforward image for Chern monomial {key}")
         return table[key], hyper
 
     return gysin_map(y, VarKind.SOURCE_CHERN, SOURCE_HYPERPLANE_VAR, image,
                      target_var=SOURCE_HYPERPLANE_VAR, cap=cap)
 
 
-class CriticalSurfaceRing:
-    """Classes on the critical surface of a once-projected map.
+def critical_surface_calculus(projected_ctx: MapContext) -> dict:
+    """Gysin table from the critical surface's Chern monomials into the source ring.
 
-    Polynomials in the restricted hyperplane class and the Chern classes of
-    the critical surface (weight cap 2), with a pushforward table into the
-    ambient source ring.  The table entries follow from the self-intersection
-    formula for the critical locus, whose class is the first quotient Chern
-    class of the projection.
+    The entries follow from the self-intersection formula for the critical
+    locus, whose class is the first quotient Chern class g1 of the projection.
     """
-
-    def __init__(self, projected_ctx: MapContext):
-        if projected_ctx.kappa != 0:
-            raise ValueError("critical-surface calculus needs an equidimensional projection")
-        self.context = projected_ctx
-        g1 = projected_ctx.quotient_chern()[0]
-        c1 = atom(source_chern(1))
-        c2 = atom(source_chern(2))
-        self.locus_class = g1
-        self.push_table = {
-            (): g1,
-            (1,): -g1 ** 2 + g1 * c1,
-            (0, 1): g1 ** 3 - g1 ** 2 * c1 + g1 * c2,
-            (2,): g1 ** 3 - 2 * g1 ** 2 * c1 + g1 * c1 ** 2,
-        }
-
-    def push(self, y: GradedPolynomial) -> GradedPolynomial:
-        """Gysin image in the ambient source ring (weight cap 3)."""
-        return _gysin_push(y, self.push_table, self.context.source_dim)
-
-    def plane_quotient_chern(self) -> tuple:
-        """c_1, c_2 of the further projection of the critical surface to P^2.
-
-        Computed on the critical surface itself: the quotient of the plane
-        tangent classes by the surface's own, truncated at its dimension.
-        """
-        return tuple(quotient_chern_classes(2, 2))
-
-
-def critical_surface_calculus(projected_ctx: MapContext) -> CriticalSurfaceRing:
-    # Not kept in the context's memo: the ring refers back to the context,
-    # and the cycle would hold the whole memo until the cyclic collector ran.
-    # The memoised character table already builds it once per context.
-    return CriticalSurfaceRing(projected_ctx)
+    if projected_ctx.kappa != 0:
+        raise ValueError("critical-surface calculus needs an equidimensional projection")
+    g1 = projected_ctx.quotient_chern()[0]
+    c1 = atom(source_chern(1))
+    c2 = atom(source_chern(2))
+    return {
+        (): g1,
+        (1,): -g1 ** 2 + g1 * c1,
+        (0, 1): g1 ** 3 - g1 ** 2 * c1 + g1 * c2,
+        (2,): g1 ** 3 - 2 * g1 ** 2 * c1 + g1 * c1 ** 2,
+    }
 
 
 def threefold_basic(ctx: MapContext) -> tuple:
@@ -187,19 +163,21 @@ def elementary_characters(ctx: MapContext) -> tuple:
     tp = tables.thom_polynomial
     at = ctx.hyperplane()
     g = ctx.project()
-    ring = critical_surface_calculus(g)
+    table = critical_surface_calculus(g)
 
     m1 = ctx.integrate(g.evaluate(tp("A1", 0)) * at ** 2)
 
-    c1h, c2h = ring.plane_quotient_chern()
+    # c_1, c_2 of the further projection of the critical surface to P^2:
+    # plane tangent classes over the surface's own, truncated at weight 2
+    c1h, c2h = quotient_chern_classes(2, 2)
     cusp_class = g.evaluate(tp("A2", 0))
-    m2 = ctx.integrate(ring.push(c1h) * at) - ctx.integrate(cusp_class * at)
+    m2 = ctx.integrate(_gysin_push(c1h, table, 3) * at) - ctx.integrate(cusp_class * at)
 
     d = ctx.xi_scalar(())
     m3 = 4 * d - ctx.xi_scalar((0, 0, 1)) + 2 * ctx.xi_scalar((0, 1)) - 3 * ctx.xi_scalar((1,))
 
     D_swallowtail = ctx.integrate(g.evaluate(tp("A3", 0)))
-    B_plus_D = ctx.integrate(ring.push(c1h ** 2 + c2h))
+    B_plus_D = ctx.integrate(_gysin_push(c1h ** 2 + c2h, table, 3))
 
     # Critical curve of the second projection, pushed down level by level.
     # The c1 variable plays two roles here: inside ``pencil_class`` it is the
@@ -208,7 +186,7 @@ def elementary_characters(ctx: MapContext) -> tuple:
     c1_var = atom(source_chern(1))
     curve_table = {(): c1h, (1,): c1h * c1_var - c1h ** 2}
     pencil_class = 2 * atom(SOURCE_HYPERPLANE_VAR, cap=1) - c1_var
-    total_polar = ctx.integrate(ring.push(_gysin_push(pencil_class, curve_table, 2)))
+    total_polar = ctx.integrate(_gysin_push(_gysin_push(pencil_class, curve_table, 2), table, 3))
 
     return m1, m2, m3, D_swallowtail, B_plus_D, total_polar
 
@@ -218,23 +196,13 @@ class DoubleLocusData(NamedTuple):
 
     ``fundamental`` is the class of the double-point surface in the source;
     the Chern entries are the Gysin images of the resolution's tangent
-    classes, solved from the multiple-point classes of f.  ``degrees`` holds
-    their degrees against the right hyperplane powers.
+    classes, solved from the multiple-point classes of f.
     """
 
     fundamental: GradedPolynomial
     first_chern: GradedPolynomial
     first_chern_square: GradedPolynomial
     second_chern: GradedPolynomial
-    degrees: dict
-
-    def as_table(self) -> dict:
-        return {
-            "phi_1": self.fundamental,
-            "phi_c1": self.first_chern,
-            "phi_c1^2": self.first_chern_square,
-            "phi_c2": self.second_chern,
-        }
 
 
 def double_locus_calculus(ctx: MapContext) -> DoubleLocusData:
@@ -264,20 +232,11 @@ def double_locus_calculus(ctx: MapContext) -> DoubleLocusData:
     phi_c1 = c1 * phi_1 - s1
     phi_c1_sq = s2 - c1 ** 2 * phi_1 + 2 * c1 * phi_c1
     phi_c2 = c2 * phi_1 - c1 * phi_c1 + phi_c1_sq - s01
-
-    at = ctx.hyperplane()
-    degrees = {
-        "phi_1": ctx.integrate(phi_1 * at ** 2),
-        "phi_c1": ctx.integrate(phi_c1 * at),
-        "phi_c1^2": ctx.integrate(phi_c1_sq),
-        "phi_c2": ctx.integrate(phi_c2),
-    }
     return DoubleLocusData(
         fundamental=phi_1,
         first_chern=phi_c1,
         first_chern_square=phi_c1_sq,
         second_chern=phi_c2,
-        degrees=degrees,
     )
 
 

@@ -299,7 +299,7 @@ class TestComponentOfWeight:
         for _ in range(50):
             p = random_poly(rng, ABSTRACT_VARS, kappa=1, cap=4)
             total = sum(
-                (part for part in p.weight_components().values()),
+                (p.component(w) for w in range(p.cap + 1)),
                 GradedPolynomial(),
             )
             assert total == p

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import io
 import json
 import os
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import charclass
-from charclass import surface
+from charclass import surface, threefold
 from charclass.algebra import (
     TARGET_HYPERPLANE_VAR,
     ExponentOverflowError,
@@ -21,11 +22,13 @@ from charclass.algebra import (
     NonUnitSeriesError,
     RingMismatchError,
     atom,
+    source_chern,
 )
 from charclass.cli import MAX_RATIONAL_DIGITS, InputError, parse_input, run_command
-from charclass.context import TruncationError
+from charclass.context import SYMBOLIC, TruncationError, make_context
 from charclass.presets import MAX_DEGREE_DIGITS
 from charclass.tables import TableMissError
+from charclass.threefold import _gysin_push
 
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_VERIFY = GOLDEN / "verify_all.txt"
@@ -381,6 +384,14 @@ class TestExitCodes:
         assert code == 3
         assert err == "internal error: variable a does not belong to this ring\n"
 
+    def test_chern_monomial_missing_from_a_gysin_table_is_3(self, monkeypatch):
+        # a push table without the image a class needs is an engine bug
+        monkeypatch.setattr(surface, "surface_characters",
+                            lambda ctx: _gysin_push(atom(source_chern(1)), {}, 3))
+        code, _, err = run(["surface"], stdin_text=ROMAN_DOC)
+        assert code == 3
+        assert err == "internal error: no pushforward image for Chern monomial (1,)\n"
+
 
 @pytest.mark.parametrize("module", ["charclass", "charclass.cli"])
 def test_python_m_entry_point(module):
@@ -404,6 +415,25 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, env=env, timeout=120)
     assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
+def test_benchmark_spans_resolve_every_traced_name():
+    # perfbench/spans.py wraps engine functions by name, so deleting or
+    # renaming one must fail the tests, not only the benchmark's self-test
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    original = threefold.critical_surface_calculus
+    tracer = spans.Tracer()
+    with tracer:  # charclass.cli is imported above, so every traced module is loaded
+        threefold.verify_threefold_identities(make_context(3, 4, SYMBOLIC))
+    assert threefold.critical_surface_calculus is original
+    called = spans.aggregate(tracer.records())["functions"]
+    assert {"threefold.threefold_characters", "threefold.threefold_basic",
+            "threefold.elementary_characters", "threefold.critical_surface_calculus",
+            "threefold.double_locus_calculus", "threefold.canonical_dot_critical",
+            "threefold.threefold_invert"} <= set(called)
 
 
 INTERN_FIRST = """

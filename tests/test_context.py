@@ -17,14 +17,14 @@ from charclass.algebra import (
     atom,
     constant,
     degree_symbol,
+    hyperplane_coefficient,
     quotient_chern,
     source_chern,
     substitute,
     xi_scalar,
 )
 from charclass.context import SYMBOLIC, TruncationError, make_context
-from charclass.surface import target_coefficient
-from charclass.threefold import CriticalSurfaceRing
+from charclass.threefold import _gysin_push, critical_surface_calculus
 from charclass.presets import (
     roman_surface_context,
     smooth_surface_context,
@@ -153,8 +153,9 @@ class TestGysinMaps:
             lambda: make_context(2, 3, SYMBOLIC).pushforward(A),
             lambda: make_context(2, 3, SYMBOLIC).integrate(A),
             lambda: make_context(2, 3, SYMBOLIC).pullback(AT),
-            lambda: CriticalSurfaceRing(make_context(3, 4, SYMBOLIC).project()).push(A),
-            lambda: target_coefficient(C1, 1),
+            lambda: _gysin_push(
+                A, critical_surface_calculus(make_context(3, 4, SYMBOLIC).project()), 3),
+            lambda: hyperplane_coefficient(C1, TARGET_HYPERPLANE_VAR, 1),
         ],
         ids=["pushforward-quotient-c1", "pushforward-a", "integrate-a", "pullback-at",
              "critical-push-a", "target-coefficient-c1"],

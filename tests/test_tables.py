@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from charclass import tables
 from charclass.algebra import atom, landweber_novikov, quotient_chern, render
 from charclass.report import all_passed
 from charclass.tables import (
@@ -139,6 +140,15 @@ class TestValidation:
     def test_golden_roundtrip(self):
         checks = golden_roundtrip()
         assert checks and all_passed(checks)
+
+    def test_golden_roundtrip_checks_the_registry_objects(self, monkeypatch):
+        # the file is compared with the entries the engine uses, so an entry
+        # that drifts from its line fails, even though the file still parses
+        registry = tables._registry()
+        entry = registry[("A1", 0)]
+        monkeypatch.setitem(registry, ("A1", 0), entry._replace(body=entry.body + C1))
+        failed = [c.name for c in golden_roundtrip() if not c.passed]
+        assert failed == ["tables/golden/A1@kappa=0"]
 
     def test_renderer_is_canonical_for_every_entry(self):
         from charclass.algebra import parse

@@ -17,6 +17,7 @@ from charclass.context import SYMBOLIC, make_context
 from charclass.presets import smooth_threefold_context, veronese_threefold_context
 from charclass.report import all_passed
 from charclass.threefold import (
+    _gysin_push,
     canonical_dot_critical,
     critical_surface_calculus,
     double_locus_calculus,
@@ -163,24 +164,25 @@ class TestInversion:
 
 class TestCriticalSurface:
     def test_pushforward_table_symbolic(self):
-        ring = critical_surface_calculus(make_context(3, 4, SYMBOLIC).project())
+        table = critical_surface_calculus(make_context(3, 4, SYMBOLIC).project())
         g1 = 4 * AT - C1
-        assert ring.locus_class == g1
-        assert ring.push_table[(1,)] == -g1 ** 2 + g1 * C1
-        assert ring.push_table[(0, 1)] == g1 ** 3 - g1 ** 2 * C1 + g1 * C2
-        assert ring.push_table[(2,)] == g1 ** 3 - 2 * g1 ** 2 * C1 + g1 * C1 ** 2
+        assert table[()] == g1
+        assert table[(1,)] == -g1 ** 2 + g1 * C1
+        assert table[(0, 1)] == g1 ** 3 - g1 ** 2 * C1 + g1 * C2
+        assert table[(2,)] == g1 ** 3 - 2 * g1 ** 2 * C1 + g1 * C1 ** 2
 
     def test_degree_of_critical_surface(self):
         # equals m1 = 4d - xi1 = 16 on the Veronese threefold, which also
         # matches d(d-1) - 2*mu0 = 56 - 40
         ctx = veronese_threefold_context()
-        ring = critical_surface_calculus(ctx.project())
-        assert ctx.integrate(ring.push(1 + 0 * AT) * AT ** 2) == 16
+        table = critical_surface_calculus(ctx.project())
+        assert ctx.integrate(_gysin_push(1 + 0 * AT, table, 3) * AT ** 2) == 16
 
     def test_push_respects_hyperplane_factors(self):
-        ring = critical_surface_calculus(make_context(3, 4, SYMBOLIC).project())
+        table = critical_surface_calculus(make_context(3, 4, SYMBOLIC).project())
         y = atom(source_chern(2), cap=2)
-        assert ring.push((AT * y).truncated(2)) == (AT * ring.push(y)).truncated(3)
+        pushed = _gysin_push((AT * y).truncated(2), table, 3)
+        assert pushed == (AT * _gysin_push(y, table, 3)).truncated(3)
 
     def test_requires_projected_context(self):
         with pytest.raises(ValueError):
@@ -195,19 +197,23 @@ class TestDoubleLocus:
 
     def test_degree_on_veronese(self):
         # the restriction of f is 2-to-1 onto the double surface: 2*mu0 = 40
-        data = double_locus_calculus(veronese_threefold_context())
-        assert data.degrees["phi_1"] == 40
+        ctx = veronese_threefold_context()
+        data = double_locus_calculus(ctx)
+        assert ctx.integrate(data.fundamental * AT ** 2) == 40
 
     def test_smooth_hypersurface_vanishes(self):
         from charclass.algebra import substitute
         from charclass.presets import hypersurface_tangent_images
 
-        data = double_locus_calculus(smooth_threefold_context())
+        ctx = smooth_threefold_context()
+        data = double_locus_calculus(ctx)
         images = hypersurface_tangent_images(3)
-        for value in data.as_table().values():
+        for value in data:
             assert substitute(value, images).is_zero()
-        for value in data.degrees.values():
-            assert value.is_zero()
+        # degrees against the right hyperplane powers: phi_1.at^2, phi_c1.at,
+        # phi_c1^2 and phi_c2
+        for value, power in zip(data, (2, 1, 0, 0), strict=True):
+            assert ctx.integrate(value * AT ** power).is_zero()
 
     def test_consistency_identities_symbolic(self):
         checks = verify_threefold_identities(make_context(3, 4, SYMBOLIC))
