@@ -68,9 +68,26 @@ def parse_xi_key(key) -> MultiIndex:
     return trim_index(key)
 
 
+_SHARED: dict = {}
+
+
+def shared(key, build):
+    """The process-wide value under ``key``, from ``build()`` on first use.
+
+    For values of the dimensions alone, never of a degree table; the key
+    names every dimension the value reads.  ``setdefault`` keeps one object
+    per key even when two threads build it at once.
+    """
+    try:
+        return _SHARED[key]
+    except KeyError:
+        return _SHARED.setdefault(key, build())
+
+
 def source_chern_total(m: int) -> GradedPolynomial:
     """c(TM) = 1 + c_1 + ... + c_m of an m-fold, weight cap m."""
-    return sum((atom(source_chern(k)) for k in range(1, m + 1)), constant(1)).truncated(m)
+    return shared(("source_chern_total", m), lambda: sum(
+        (atom(source_chern(k)) for k in range(1, m + 1)), constant(1)).truncated(m))
 
 
 def quotient_chern_classes(m: int, n: int) -> list:
@@ -103,8 +120,14 @@ class MapContext:
     one memo (see :meth:`memo`): the quotient Chern classes, each
     Landweber-Novikov class, each ``evaluate`` result (keyed on the catalogue
     entry object itself, which the memo holds), the projected context, and,
-    through the pipelines, the surface or 3-fold character table.  Nothing is
-    shared between instances, and no memoised value refers back to its
+    through the pipelines, the surface or 3-fold character table.  ``at``,
+    c(TM) and the quotient Chern monomial under each Landweber-Novikov class
+    never read the degree table and are shared by all instances through
+    :func:`shared`.  The quotient classes and ``evaluate`` results stay per
+    instance although they depend on (m, n) alone: ``perfbench/selftest.py``
+    needs ``invert_unit_series``, ``quotient_chern``, ``evaluate`` and
+    ``substitute`` to run for each numeric table, and ``evaluate`` on a fresh
+    context to call ``substitute``.  No memoised value refers back to its
     context, so a context is freed as soon as its last reference goes.
     """
 
@@ -176,7 +199,8 @@ class MapContext:
 
     def hyperplane(self) -> GradedPolynomial:
         """The pulled-back hyperplane class ``at`` in the source ring."""
-        return atom(SOURCE_HYPERPLANE_VAR, cap=self._m)
+        m = self._m
+        return shared(("at", m), lambda: atom(SOURCE_HYPERPLANE_VAR, cap=m))
 
     # -- the calculus ---------------------------------------------------------
 
@@ -212,14 +236,16 @@ class MapContext:
                 f"s_{index_digits(index)} has weight beyond the target dimension"
             )
 
-        def build():
+        def product():
             monomial = constant(1).truncated(self._m)
             for k, e in enumerate(index, start=1):
                 if e:
                     monomial = monomial * self.quotient_chern()[k - 1] ** e
-            return self.pushforward(monomial)
+            return monomial
 
-        return self.memo(("landweber_novikov", index), build)
+        key = ("quotient_monomial", self._m, self._n, index)
+        return self.memo(("landweber_novikov", index),
+                         lambda: self.pushforward(shared(key, product)))
 
     def evaluate(self, ac: AbstractClass) -> GradedPolynomial:
         """Instantiate a universal class on this map.
@@ -260,12 +286,19 @@ class MapContext:
     def project(self) -> "MapContext":
         """Compose with a generic linear projection P^n -> P^(n-1).
 
-        The degree table is intrinsic to (M, at) and is reused unchanged; the
+        The degree table is intrinsic to (M, at): the projection takes this
+        context's validated table as it is, without checking it again; the
         quotient classes pick up the smaller target exponent automatically.
         """
         if self.kappa == 0:
             raise ValueError("cannot project: relative codimension would become negative")
-        return self.memo("project", lambda: MapContext(self._m, self._n - 1, self._xi))
+
+        def build():
+            g = object.__new__(MapContext)
+            g._m, g._n, g._xi, g._memo = self._m, self._n - 1, self._xi, {}
+            return g
+
+        return self.memo("project", build)
 
     def weighted_euler(self, series: AbstractClass) -> Scalar:
         """Euler characteristic of a locus: integrate c(TM) times the series.

@@ -4,14 +4,15 @@ Most checks are identities: a row (name, got, want) passes when
 ``got - want`` is exactly zero, and ``render(got - want)`` is its residual.
 :func:`identities` builds those rows and :func:`integrality` the numeric
 integrality and sign checks; the few checks that need another verdict are
-written out where they are made.
+written out where they are made.  On a numeric table the identity rows run
+on plain exact numbers (see :func:`numbers`) instead of constant polynomials.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .algebra import render
+from .algebra import lift, render
 
 
 class Check(NamedTuple):
@@ -32,11 +33,18 @@ class Check(NamedTuple):
         return f"{status} {self.name}{extra}"
 
 
+def numbers(values) -> list:
+    """Constant polynomials as plain exact numbers: int when integral, else Fraction."""
+    values = [p.constant_value() for p in values]
+    return [v.numerator if v.denominator == 1 else v for v in values]
+
+
 def identities(prefix: str, rows) -> list:
-    """One check ``prefix/name`` per (name, got, want) row."""
+    """One check ``prefix/name`` per (name, got, want) row of polynomials or
+    plain exact numbers."""
     checks = []
     for name, got, want in rows:
-        residual = got - want
+        residual = lift(got - want)
         checks.append(Check(f"{prefix}/{name}", residual.is_zero(), render(residual)))
     return checks
 

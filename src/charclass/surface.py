@@ -17,7 +17,7 @@ from typing import NamedTuple
 from . import tables
 from .algebra import TARGET_HYPERPLANE_VAR, hyperplane_coefficient, lift, render
 from .context import SYMBOLIC, MapContext, Scalar, make_context
-from .report import Check, identities, integrality
+from .report import Check, identities, integrality, numbers
 
 
 class SurfaceCharacters(NamedTuple):
@@ -104,45 +104,47 @@ def _surface_pipeline(ctx: MapContext) -> SurfaceCharacters:
 def surface_invert(d, eps0, C, T) -> tuple:
     """Solve the degree table from (d, eps0, C, T).
 
-    Exact inversion of the degree/crosscap/triple-point formulas; accepts
-    numbers or scalar polynomials and returns (xi1, xi2, xi01).
+    Exact inversion of the degree/crosscap/triple-point formulas on plain
+    numbers or scalar polynomials as passed; returns (xi1, xi2, xi01) lifted
+    to scalar polynomials.
     """
-    d, eps0, C, T = lift(d), lift(eps0), lift(C), lift(T)
     xi1 = d * (4 - d) + 2 * eps0
     xi2 = d * (d - 4) ** 2 + (16 - 3 * d) * eps0 + 3 * T - C
     xi01 = d * (d ** 2 - 4 * d + 6) + (8 - 3 * d) * eps0 + 3 * T - 2 * C
-    return xi1, xi2, xi01
+    return lift(xi1), lift(xi2), lift(xi01)
 
 
 def verify_surface_relations(ctx: MapContext) -> list:
     """The five classical relations plus the birational-invariant checks.
 
     Characters are engine-computed; each relation reports the exact
-    difference of its two sides.  Numeric contexts additionally get
-    integrality checks, and every context gets the round trip through
+    difference of its two sides.  Numeric contexts run those lines on plain
+    exact numbers and additionally get integrality checks, which read the
+    pipeline's own values; every context gets the round trip through
     :func:`surface_invert`.
     """
     _require_surface(ctx)
-    ch = surface_characters(ctx)
-    d = ch.mu0
-    x1 = ctx.xi_scalar((1,))
-    x2 = ctx.xi_scalar((2,))
-    x01 = ctx.xi_scalar((0, 1))
+    ch = v = surface_characters(ctx)
+    xi = [ctx.xi_scalar(index) for index in ((1,), (2,), (0, 1))]
+    if ctx.is_numeric():
+        v, xi = ch._make(numbers(ch)), numbers(xi)
+    x1, x2, x01 = xi
+    d = v.mu0
     checks = identities("surface/relation", [
-        ("i: d(d-1) = mu1 + 2 eps0", d * (d - 1), ch.mu1 + 2 * ch.eps0),
-        ("ii: mu1(d-2) = kappa + rho", ch.mu1 * (d - 2), ch.kappa_cusps + ch.rho),
-        ("iii: eps0(d-2) = rho + 3T", ch.eps0 * (d - 2), ch.rho + 3 * ch.T),
-        ("iv: 2rho - 2eps1 = C", 2 * ch.rho - 2 * ch.eps1, ch.C),
-        ("v: mu2 + 2C = mu1 + kappa", ch.mu2 + 2 * ch.C, ch.mu1 + ch.kappa_cusps),
+        ("i: d(d-1) = mu1 + 2 eps0", d * (d - 1), v.mu1 + 2 * v.eps0),
+        ("ii: mu1(d-2) = kappa + rho", v.mu1 * (d - 2), v.kappa_cusps + v.rho),
+        ("iii: eps0(d-2) = rho + 3T", v.eps0 * (d - 2), v.rho + 3 * v.T),
+        ("iv: 2rho - 2eps1 = C", 2 * v.rho - 2 * v.eps1, v.C),
+        ("v: mu2 + 2C = mu1 + kappa", v.mu2 + 2 * v.C, v.mu1 + v.kappa_cusps),
     ])
     checks += identities("surface/pipeline", [
         ("riemann-hurwitz: mu2 + kappa = 2 mu1 - chi(S(g))",
-         ch.mu2 + ch.kappa_cusps, 2 * ch.mu1 - ch.chi_critical_curve),
+         v.mu2 + v.kappa_cusps, 2 * v.mu1 - v.chi_critical_curve),
     ])
 
     # birational invariants from the elementary characters
-    omega = ch.mu2 - 6 * ch.mu1 + 9 * ch.mu0 + ch.C + 1
-    zeuthen_segre = ch.mu2 - 2 * ch.mu1 + 3 * ch.mu0 - 4
+    omega = v.mu2 - 6 * v.mu1 + 9 * v.mu0 + v.C + 1
+    zeuthen_segre = v.mu2 - 2 * v.mu1 + 3 * v.mu0 - 4
     checks += identities("surface/invariant", [
         ("omega = xi2 + 1", omega, x2 + 1),
         ("zeuthen_segre = xi01 - 4", zeuthen_segre, x01 - 4),
@@ -150,29 +152,30 @@ def verify_surface_relations(ctx: MapContext) -> list:
     ])
 
     # round trip through the inversion formulas
-    inverted = surface_invert(d, ch.eps0, ch.C, ch.T)
+    inverted = surface_invert(d, v.eps0, v.C, v.T)
     checks += identities("surface/roundtrip", zip(("xi1", "xi2", "xi01"), inverted, (x1, x2, x01)))
 
     # engine output against the classical closed forms
-    half = Fraction(1, 2)
+    half, third, sixth = Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)
     checks += identities("surface/closed-form", [
-        ("C", ch.C, 6 * d - 4 * x1 + x2 - x01),
-        ("T", ch.T, (44 * d - 12 * d ** 2 + d ** 3 + (3 * d - 24) * x1 + 4 * x2 - 2 * x01) / 6),
-        ("eps0", ch.eps0, (d ** 2 - 4 * d + x1) / 2),
-        ("mu1", ch.mu1, 3 * d - x1),
-        ("mu1/elementary", ch.mu1, d * (d - 1) - 2 * ch.eps0),
-        ("kappa_cusps", ch.kappa_cusps, 12 * d - 9 * x1 + 2 * x2 - x01),
-        ("kappa_cusps/elementary", ch.kappa_cusps, d * (d - 1) * (d - 2) + (6 - 3 * d) * ch.eps0 + 3 * ch.T),
-        ("mu2", ch.mu2, 3 * d - 2 * x1 + x01),
-        ("mu2/elementary", ch.mu2, d * (d - 1) ** 2 + (4 - 3 * d) * ch.eps0 + 3 * ch.T - 2 * ch.C),
-        ("chi_critical_curve", ch.chi_critical_curve, -9 * d + 9 * x1 - 2 * x2),
-        ("chi_double_curve", ch.chi_double_curve,
-         (7 * d + 6 * d ** 2 - d ** 3 - Fraction(5, 2) * x01 - 12 * x1 + Fraction(7, 2) * x2) / 3),
-        ("chi_double_curve/elementary", ch.chi_double_curve, (4 - d) * ch.eps0 + ch.T + half * ch.C),
-        ("rho/elementary", ch.rho, (d - 2) * ch.eps0 - 3 * ch.T),
-        ("eps1", ch.eps1,
+        ("C", v.C, 6 * d - 4 * x1 + x2 - x01),
+        ("T", v.T, sixth * (44 * d - 12 * d ** 2 + d ** 3 + (3 * d - 24) * x1 + 4 * x2 - 2 * x01)),
+        ("eps0", v.eps0, half * (d ** 2 - 4 * d + x1)),
+        ("mu1", v.mu1, 3 * d - x1),
+        ("mu1/elementary", v.mu1, d * (d - 1) - 2 * v.eps0),
+        ("kappa_cusps", v.kappa_cusps, 12 * d - 9 * x1 + 2 * x2 - x01),
+        ("kappa_cusps/elementary", v.kappa_cusps, d * (d - 1) * (d - 2) + (6 - 3 * d) * v.eps0 + 3 * v.T),
+        ("mu2", v.mu2, 3 * d - 2 * x1 + x01),
+        ("mu2/elementary", v.mu2, d * (d - 1) ** 2 + (4 - 3 * d) * v.eps0 + 3 * v.T - 2 * v.C),
+        ("chi_critical_curve", v.chi_critical_curve, -9 * d + 9 * x1 - 2 * x2),
+        ("chi_double_curve", v.chi_double_curve,
+         third * (7 * d + 6 * d ** 2 - d ** 3 - Fraction(5, 2) * x01 - 12 * x1
+                  + Fraction(7, 2) * x2)),
+        ("chi_double_curve/elementary", v.chi_double_curve, (4 - d) * v.eps0 + v.T + half * v.C),
+        ("rho/elementary", v.rho, (d - 2) * v.eps0 - 3 * v.T),
+        ("eps1", v.eps1,
          3 * d ** 2 - 21 * d + (13 - d) * x1 + Fraction(3, 2) * x01 - Fraction(5, 2) * x2),
-        ("eps1/elementary", ch.eps1, (d - 2) * ch.eps0 - 3 * ch.T - half * ch.C),
+        ("eps1/elementary", v.eps1, (d - 2) * v.eps0 - 3 * v.T - half * v.C),
     ])
     if ctx.is_numeric():
         values = ch._asdict()

@@ -19,7 +19,8 @@ relating them to the multiple-point classes of f.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from . import tables
 from .algebra import (
@@ -33,8 +34,10 @@ from .algebra import (
     render,
     source_chern,
 )
-from .context import SYMBOLIC, MapContext, Scalar, make_context, quotient_chern_classes
-from .report import Check, identities, integrality
+from .context import (
+    SYMBOLIC, MapContext, Scalar, make_context, quotient_chern_classes, shared,
+)
+from .report import Check, identities, integrality, numbers
 
 
 class ThreefoldCharacters(NamedTuple):
@@ -67,7 +70,7 @@ def _require_threefold(ctx: MapContext) -> None:
         )
 
 
-def _gysin_push(y: GradedPolynomial, table: dict, cap: int) -> GradedPolynomial:
+def _gysin_push(y: GradedPolynomial, table: Mapping, cap: int) -> GradedPolynomial:
     """Push a class along an inclusion via a table of Chern-monomial images.
 
     Hyperplane powers and scalar symbols pass through by the projection
@@ -82,23 +85,47 @@ def _gysin_push(y: GradedPolynomial, table: dict, cap: int) -> GradedPolynomial:
                      target_var=SOURCE_HYPERPLANE_VAR, cap=cap)
 
 
-def critical_surface_calculus(projected_ctx: MapContext) -> dict:
+def critical_surface_calculus(projected_ctx: MapContext) -> Mapping:
     """Gysin table from the critical surface's Chern monomials into the source ring.
 
     The entries follow from the self-intersection formula for the critical
     locus, whose class is the first quotient Chern class g1 of the projection.
+    They depend on the dimensions alone, so one read-only table is built per
+    (m, n) and shared by every context.
     """
     if projected_ctx.kappa != 0:
         raise ValueError("critical-surface calculus needs an equidimensional projection")
-    g1 = projected_ctx.quotient_chern()[0]
-    c1 = atom(source_chern(1))
-    c2 = atom(source_chern(2))
-    return {
-        (): g1,
-        (1,): -g1 ** 2 + g1 * c1,
-        (0, 1): g1 ** 3 - g1 ** 2 * c1 + g1 * c2,
-        (2,): g1 ** 3 - 2 * g1 ** 2 * c1 + g1 * c1 ** 2,
-    }
+
+    def build():
+        g1 = projected_ctx.quotient_chern()[0]
+        c1 = atom(source_chern(1))
+        c2 = atom(source_chern(2))
+        return MappingProxyType({
+            (): g1,
+            (1,): -g1 ** 2 + g1 * c1,
+            (0, 1): g1 ** 3 - g1 ** 2 * c1 + g1 * c2,
+            (2,): g1 ** 3 - 2 * g1 ** 2 * c1 + g1 * c1 ** 2,
+        })
+
+    return shared(("critical_surface", projected_ctx.source_dim, projected_ctx.target_dim), build)
+
+
+def _critical_surface_pushes(table: Mapping) -> tuple:
+    """Images in M of c_1 and c_1^2 + c_2 of the critical surface's plane
+    projection and of the pencil class on its critical curve."""
+    # c_1, c_2 of the further projection of the critical surface to P^2:
+    # plane tangent classes over the surface's own, truncated at weight 2
+    c1h, c2h = quotient_chern_classes(2, 2)
+    # Critical curve of the second projection, pushed down level by level.
+    # The c1 variable plays two roles here: inside ``pencil_class`` it is the
+    # curve's own tangent class (the table key), while inside the table
+    # images it is c1 of the critical surface the curve sits on.
+    c1_var = atom(source_chern(1))
+    curve_table = {(): c1h, (1,): c1h * c1_var - c1h ** 2}
+    pencil_class = 2 * atom(SOURCE_HYPERPLANE_VAR, cap=1) - c1_var
+    return (_gysin_push(c1h, table, 3),
+            _gysin_push(c1h ** 2 + c2h, table, 3),
+            _gysin_push(_gysin_push(pencil_class, curve_table, 2), table, 3))
 
 
 def threefold_basic(ctx: MapContext) -> tuple:
@@ -118,11 +145,10 @@ def threefold_basic(ctx: MapContext) -> tuple:
 def threefold_invert(d, mu0, t, q, s_t, gamma, chi_C) -> tuple:
     """Chern degrees of the normalization from the seven basic characters.
 
-    Exact evaluation of the inversion polynomials; returns
-    (xi1, xi2, xi01, xi3, xi11, xi001).
+    Exact evaluation of the inversion polynomials on plain numbers or scalar
+    polynomials as passed; returns (xi1, xi2, xi01, xi3, xi11, xi001) lifted
+    to scalar polynomials.
     """
-    d, mu0, t, q = lift(d), lift(mu0), lift(t), lift(q)
-    s_t, gamma, chi_C = lift(s_t), lift(gamma), lift(chi_C)
     half = Fraction(1, 2)
     xi1 = 5 * d - d ** 2 + 2 * mu0
     xi2 = 25 * d - 10 * d ** 2 + d ** 3 + (20 - 3 * d) * mu0 + 3 * t - gamma
@@ -143,7 +169,7 @@ def threefold_invert(d, mu0, t, q, s_t, gamma, chi_C) -> tuple:
         + 4 * q + 3 * half * s_t + (15 - 4 * d) * t + (10 - 3 * half * d) * gamma
         - 4 * chi_C
     )
-    return xi1, xi2, xi01, xi3, xi11, xi001
+    return tuple(map(lift, (xi1, xi2, xi01, xi3, xi11, xi001)))
 
 
 def elementary_characters(ctx: MapContext) -> tuple:
@@ -164,29 +190,21 @@ def elementary_characters(ctx: MapContext) -> tuple:
     at = ctx.hyperplane()
     g = ctx.project()
     table = critical_surface_calculus(g)
+    plane_c1, plane_c1_sq_c2, polar = shared(
+        ("critical_surface_pushes", g.source_dim, g.target_dim),
+        lambda: _critical_surface_pushes(table))
 
     m1 = ctx.integrate(g.evaluate(tp("A1", 0)) * at ** 2)
 
-    # c_1, c_2 of the further projection of the critical surface to P^2:
-    # plane tangent classes over the surface's own, truncated at weight 2
-    c1h, c2h = quotient_chern_classes(2, 2)
     cusp_class = g.evaluate(tp("A2", 0))
-    m2 = ctx.integrate(_gysin_push(c1h, table, 3) * at) - ctx.integrate(cusp_class * at)
+    m2 = ctx.integrate(plane_c1 * at) - ctx.integrate(cusp_class * at)
 
     d = ctx.xi_scalar(())
     m3 = 4 * d - ctx.xi_scalar((0, 0, 1)) + 2 * ctx.xi_scalar((0, 1)) - 3 * ctx.xi_scalar((1,))
 
     D_swallowtail = ctx.integrate(g.evaluate(tp("A3", 0)))
-    B_plus_D = ctx.integrate(_gysin_push(c1h ** 2 + c2h, table, 3))
-
-    # Critical curve of the second projection, pushed down level by level.
-    # The c1 variable plays two roles here: inside ``pencil_class`` it is the
-    # curve's own tangent class (the table key), while inside the table
-    # images it is c1 of the critical surface the curve sits on.
-    c1_var = atom(source_chern(1))
-    curve_table = {(): c1h, (1,): c1h * c1_var - c1h ** 2}
-    pencil_class = 2 * atom(SOURCE_HYPERPLANE_VAR, cap=1) - c1_var
-    total_polar = ctx.integrate(_gysin_push(_gysin_push(pencil_class, curve_table, 2), table, 3))
+    B_plus_D = ctx.integrate(plane_c1_sq_c2)
+    total_polar = ctx.integrate(polar)
 
     return m1, m2, m3, D_swallowtail, B_plus_D, total_polar
 
@@ -278,55 +296,53 @@ def _threefold_pipeline(ctx: MapContext) -> ThreefoldCharacters:
 
 
 def _xi7(ctx: MapContext) -> tuple:
-    return (
-        ctx.xi_scalar(()),
-        ctx.xi_scalar((1,)),
-        ctx.xi_scalar((2,)),
-        ctx.xi_scalar((0, 1)),
-        ctx.xi_scalar((3,)),
-        ctx.xi_scalar((1, 1)),
-        ctx.xi_scalar((0, 0, 1)),
-    )
+    return tuple(ctx.xi_scalar(i) for i in ((), (1,), (2,), (0, 1), (3,), (1, 1), (0, 0, 1)))
 
 
 def verify_threefold_identities(ctx: MapContext) -> list:
-    """Engine-vs-closed-form checks, round trips and structural identities."""
+    """Engine-vs-closed-form checks, round trips and structural identities.
+
+    On a numeric table the closed forms and the round trip run on plain
+    exact numbers; the integrality and parity checks read the pipeline's own
+    values.
+    """
     _require_threefold(ctx)
-    ch = threefold_characters(ctx)
-    d, x1, x2, x01, x3, x11, x001 = _xi7(ctx)
-    half = Fraction(1, 2)
-    third = Fraction(1, 3)
-    quarter = Fraction(1, 4)
+    ch = v = threefold_characters(ctx)
+    xi = _xi7(ctx)
+    if ctx.is_numeric():
+        v, xi = ch._make(numbers(ch)), numbers(xi)
+    d, x1, x2, x01, x3, x11, x001 = xi
+    half, third, quarter = Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)
 
     checks = identities("threefold/closed-form", [
-        ("mu0", ch.mu0, half * (-5 * d + d ** 2 + x1)),
-        ("t", ch.t,
+        ("mu0", v.mu0, half * (-5 * d + d ** 2 + x1)),
+        ("t", v.t,
          third * (35 * d - Fraction(15, 2) * d ** 2 + half * d ** 3 - x01 - 15 * x1
                   + Fraction(3, 2) * d * x1 + 2 * x2)),
-        ("gamma", ch.gamma, 10 * d - x01 - 5 * x1 + x2),
-        ("q", ch.q,
+        ("gamma", v.gamma, 10 * d - x01 - 5 * x1 + x2),
+        ("q", v.q,
          quarter * (-295 * d + Fraction(355, 6) * d ** 2 - 5 * d ** 3 + Fraction(1, 6) * d ** 4
                     + 2 * x001 + (25 - Fraction(4, 3) * d) * x01
                     + (200 - 25 * d + d ** 2) * x1 + half * x1 ** 2 - 7 * x11
                     + (-55 + Fraction(8, 3) * d) * x2 + 6 * x3)),
-        ("s_t", ch.s_t,
+        ("s_t", v.s_t,
          -120 * d + 10 * d ** 2 + 2 * x001 + (20 - d) * x01 + (90 - 5 * d) * x1
          - 6 * x11 + (d - 30) * x2 + 4 * x3),
-        ("chi_C", ch.chi_C,
+        ("chi_C", v.chi_C,
          -60 * d + x001 + 10 * x01 + 55 * x1 - 4 * x11 - 20 * x2 + 3 * x3),
-        ("m1", ch.m1, 4 * d - x1),
-        ("m1/elementary", ch.m1, d * (d - 1) - 2 * ch.mu0),
-        ("m2/elementary", ch.m2, d * (d - 1) ** 2 + (4 - 3 * d) * ch.mu0 + 3 * ch.t - 2 * ch.gamma),
-        ("m3/elementary", ch.m3,
-         d * (d - 1) ** 3 + (-6 + 9 * d - 4 * d ** 2 + 2 * ch.mu0) * ch.mu0 - 4 * ch.q
-         - Fraction(3, 2) * ch.s_t + (4 * d - 9) * ch.t + (Fraction(3, 2) * d - 14) * ch.gamma
-         + 4 * ch.chi_C),
-        ("K_dot_S", ch.K_dot_S, -10 * x1 + x11 + 5 * x2 - x3),
-        ("K_dot_S/characters", ch.K_dot_S, half * ch.s_t - half * d * ch.gamma - ch.chi_C),
+        ("m1", v.m1, 4 * d - x1),
+        ("m1/elementary", v.m1, d * (d - 1) - 2 * v.mu0),
+        ("m2/elementary", v.m2, d * (d - 1) ** 2 + (4 - 3 * d) * v.mu0 + 3 * v.t - 2 * v.gamma),
+        ("m3/elementary", v.m3,
+         d * (d - 1) ** 3 + (-6 + 9 * d - 4 * d ** 2 + 2 * v.mu0) * v.mu0 - 4 * v.q
+         - Fraction(3, 2) * v.s_t + (4 * d - 9) * v.t + (Fraction(3, 2) * d - 14) * v.gamma
+         + 4 * v.chi_C),
+        ("K_dot_S", v.K_dot_S, -10 * x1 + x11 + 5 * x2 - x3),
+        ("K_dot_S/characters", v.K_dot_S, half * v.s_t - half * d * v.gamma - v.chi_C),
     ])
 
     # inversion round trip: characters back to the Chern degrees
-    inverted = threefold_invert(d, ch.mu0, ch.t, ch.q, ch.s_t, ch.gamma, ch.chi_C)
+    inverted = threefold_invert(d, v.mu0, v.t, v.q, v.s_t, v.gamma, v.chi_C)
     checks += identities("threefold/roundtrip", zip(
         ("xi1", "xi2", "xi01", "xi3", "xi11", "xi001"), inverted, (x1, x2, x01, x3, x11, x001)))
 

@@ -5,16 +5,19 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 from charclass.algebra import (
     GradedPolynomial,
     SOURCE_HYPERPLANE_VAR,
     TARGET_HYPERPLANE_VAR,
     atom,
+    chern_indices,
     landweber_novikov,
     quotient_chern,
     source_chern,
 )
-from charclass.context import MapContext, make_context
+from charclass.context import MapContext, make_context, xi_label
 
 
 def random_fraction(rng: random.Random, span: int = 6) -> Fraction:
@@ -80,11 +83,16 @@ def random_unit_series(rng: random.Random, cap: int, kappa: int | None = 0) -> G
 
 
 def random_numeric_context(rng: random.Random, m: int = 2, n: int = 3) -> MapContext:
-    from charclass.algebra import chern_indices
-    from charclass.context import xi_label
-
     xi = {xi_label(i): random_fraction(rng) for i in chern_indices(m)}
     ctx = make_context(m, max(n, m + 1), xi)
     while ctx.target_dim > n:
         ctx = ctx.project()
     return ctx
+
+
+def non_integral_tables(m: int):
+    """Hypothesis strategy: degree tables of an m-fold whose entries are all
+    non-integral rationals with denominators 2..9."""
+    entry = st.builds(Fraction, st.integers(-60, 60), st.integers(2, 9)).filter(
+        lambda x: x.denominator != 1)
+    return st.fixed_dictionaries({xi_label(i): entry for i in chern_indices(m)})

@@ -3,18 +3,24 @@
 from __future__ import annotations
 
 import gc
+import os
 import random
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import pytest
 
-from charclass import tables
+import charclass
+from charclass import context, tables
 from charclass.algebra import (
     RingMismatchError,
     SOURCE_HYPERPLANE_VAR,
     TARGET_HYPERPLANE_VAR,
     AbstractClass,
     atom,
+    chern_indices,
     constant,
     degree_symbol,
     hyperplane_coefficient,
@@ -23,7 +29,14 @@ from charclass.algebra import (
     substitute,
     xi_scalar,
 )
-from charclass.context import SYMBOLIC, TruncationError, make_context
+from charclass.context import (
+    SYMBOLIC,
+    TruncationError,
+    make_context,
+    quotient_chern_classes,
+    source_chern_total,
+    xi_label,
+)
 from charclass.threefold import _gysin_push, critical_surface_calculus
 from charclass.presets import (
     roman_surface_context,
@@ -252,9 +265,23 @@ class TestProjection:
         x = C1 * AT
         assert ctx.integrate(x) == ctx.project().integrate(x)
 
+    def test_projection_takes_the_validated_table_as_is(self, monkeypatch):
+        ctx = veronese_threefold_context()
+
+        def refuse(*args):
+            raise AssertionError("the projection checked its table again")
+
+        monkeypatch.setattr(context, "lift", refuse)
+        monkeypatch.setattr(context, "_check_scalar", refuse)
+        proj = ctx.project()
+        monkeypatch.undo()
+        assert (proj.source_dim, proj.target_dim) == (3, 3)
+        assert all(proj.xi_scalar(i) is ctx.xi_scalar(i) for i in chern_indices(3))
+
 
 class TestMemo:
-    """Per-context memos: keyed on the catalogue entry, never shared."""
+    """Per-context memos: keyed on the catalogue entry; a context's values
+    that read its degree table are never shared with another context."""
 
     @pytest.mark.parametrize("series_first", [False, True])
     def test_evaluate_keys_on_the_entry_object(self, series_first):
@@ -320,6 +347,114 @@ class TestMemo:
             assert [r() for r in refs] == [None, None]
         finally:
             gc.enable()
+
+
+SRC = str(Path(charclass.__file__).resolve().parents[1])
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _run_python(code: str, *argv: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def _context(m: int, n: int, xi):
+    """A context of f: M^m -> P^n; equal dimensions come from a projection."""
+    return make_context(m, n + 1, xi).project() if n == m else make_context(m, n, xi)
+
+
+SHARED_IN_REVERSE = """
+import sys
+from charclass.algebra import chern_indices
+from charclass.cli import run_command
+from charclass.context import SYMBOLIC, make_context
+from charclass.threefold import critical_surface_calculus
+
+# fill the process-wide memo from the dimensions the pipelines reach last
+for m, n in [(3, 3), (2, 2), (3, 4), (2, 3)]:
+    ctx = make_context(m, n + 1, SYMBOLIC).project() if n == m else make_context(m, n, SYMBOLIC)
+    ctx.hyperplane()
+    for index in chern_indices(m):
+        ctx.landweber_novikov(index)
+    if n == m:
+        critical_surface_calculus(ctx)
+argv = sys.argv[1:]
+stdin = None
+if argv[0] == "pipe":
+    import io
+    preset = io.StringIO()
+    run_command(["preset", *argv[2:]], stdout=preset)
+    argv, stdin = [argv[1], "--json"], io.StringIO(preset.getvalue())
+sys.exit(run_command(argv, stdin=stdin))
+"""
+
+
+class TestSharedMemo:
+    """Values of the dimensions alone, built once per process."""
+
+    DIMS = [(2, 3), (2, 2), (2, 4), (3, 4), (3, 3)]
+
+    @pytest.mark.parametrize("seed", [1, 2, None])  # None: the symbolic table
+    def test_shared_values_equal_fresh_builds(self, seed):
+        # same m with several n and same n with several m, so a key that
+        # dropped either dimension would hand one of them a wrong value
+        rng = random.Random(seed)
+        for m, n in self.DIMS:
+            table = SYMBOLIC if seed is None else {
+                xi_label(i): rng.randint(-9, 9) for i in chern_indices(m)}
+            ctx = _context(m, n, table)
+            fresh = quotient_chern_classes(m, n)
+            assert ctx.quotient_chern() == fresh
+            at = ctx.hyperplane()
+            assert (at, at.cap) == (atom(SOURCE_HYPERPLANE_VAR), m)
+            total = source_chern_total(m)
+            assert total == sum((atom(source_chern(k)) for k in range(1, m + 1)), constant(1))
+            assert total.cap == m
+            for index in chern_indices(m):
+                monomial = constant(1).truncated(m)
+                for k, e in enumerate(index, start=1):
+                    monomial = monomial * fresh[k - 1] ** e
+                assert ctx.landweber_novikov(index) == ctx.pushforward(monomial)
+            if n == m:
+                g1 = fresh[0]
+                assert critical_surface_calculus(ctx) == {
+                    (): g1,
+                    (1,): -g1 ** 2 + g1 * C1,
+                    (0, 1): g1 ** 3 - g1 ** 2 * C1 + g1 * C2,
+                    (2,): g1 ** 3 - 2 * g1 ** 2 * C1 + g1 * C1 ** 2,
+                }
+
+    def test_one_object_per_key(self):
+        ctx = make_context(3, 4, SYMBOLIC)
+        other = veronese_threefold_context()
+        assert ctx.hyperplane() is other.hyperplane()
+        table = critical_surface_calculus(ctx.project())
+        assert table is critical_surface_calculus(other.project())
+        assert source_chern_total(3) is source_chern_total(3)
+        with pytest.raises(TypeError):  # shared, so no caller may change it
+            table[()] = constant(0)
+
+    def test_import_builds_nothing(self):
+        proc = _run_python("import charclass.cli; from charclass import context; "
+                           "print(len(context._SHARED))")
+        assert (proc.returncode, proc.stdout) == (0, "0\n"), proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv, golden",
+        [
+            (["verify", "--suite", "all"], "verify_all.txt"),
+            (["pipe", "threefold", "veronese-p3"], "veronese_p3_threefold.json"),
+            (["pipe", "surface", "roman-surface"], "roman_surface.json"),
+            (["pipe", "threefold", "smooth-threefold", "--degree", "1000000000000"],
+             "smooth_threefold_1e12.json"),
+        ],
+    )
+    def test_output_does_not_depend_on_build_order(self, argv, golden):
+        proc = _run_python(SHARED_IN_REVERSE, *argv)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (GOLDEN / golden).read_text(encoding="utf-8")
 
 
 class TestWeightedEuler:

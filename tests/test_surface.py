@@ -5,6 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from charclass.algebra import degree_symbol, xi_scalar
 from charclass.context import SYMBOLIC, make_context
@@ -16,6 +17,8 @@ from charclass.surface import (
     surface_typo_diagnostics,
     verify_surface_relations,
 )
+
+from conftest import non_integral_tables
 
 D = degree_symbol()
 X1, X2, X01 = xi_scalar((1,)), xi_scalar((2,)), xi_scalar((0, 1))
@@ -159,6 +162,17 @@ class TestRelationsReport:
         assert str(checks["surface/closed-form/C"]) == "FAIL surface/closed-form/C residual=1"
         assert checks["surface/relation/iv: 2rho - 2eps1 = C"].residual == "-1"
         assert checks["surface/integrality/C"] == ("surface/integrality/C", True, None, "value 7")
+
+    @settings(max_examples=25, deadline=None)
+    @given(non_integral_tables(2))
+    def test_rational_tables_pass_every_identity(self, xi):
+        # the plain-number closed forms must stay exact (no float, no
+        # rounding) on tables that are not integral
+        families = {"relation", "pipeline", "invariant", "roundtrip", "closed-form"}
+        checks = verify_surface_relations(make_context(2, 3, xi))
+        rows = [c for c in checks if c.name.split("/")[1] in families]
+        assert {c.name.split("/")[1] for c in rows} == families
+        assert all(c.passed and c.residual == "0" for c in rows), [str(c) for c in rows]
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from charclass.algebra import (
     SOURCE_HYPERPLANE_VAR,
@@ -28,6 +29,8 @@ from charclass.threefold import (
     threefold_typo_diagnostics,
     verify_threefold_identities,
 )
+
+from conftest import non_integral_tables
 
 AT = atom(SOURCE_HYPERPLANE_VAR)
 C1 = atom(source_chern(1))
@@ -230,6 +233,32 @@ class TestReports:
         checks = threefold_typo_diagnostics()
         assert all_passed(checks)
         assert any("m2" in c.name for c in checks)
+
+    def test_wrong_q_fails_exactly_its_rows(self):
+        # the numeric report runs its closed forms on plain numbers; a wrong
+        # character must still fail the rows that read it, with the residual
+        ctx = veronese_threefold_context()
+        ch = threefold_characters(veronese_threefold_context())
+        ctx.memo("threefold_characters", lambda: ch._replace(q=ch.q + 1))
+        failed = [str(c) for c in verify_threefold_identities(ctx) if not c.passed]
+        assert failed == [
+            "FAIL threefold/closed-form/q residual=1",
+            "FAIL threefold/closed-form/m3/elementary residual=4",
+            "FAIL threefold/roundtrip/xi3 residual=4",
+            "FAIL threefold/roundtrip/xi11 residual=4",
+            "FAIL threefold/roundtrip/xi001 residual=4",
+        ]
+
+    @settings(max_examples=25, deadline=None)
+    @given(non_integral_tables(3))
+    def test_rational_tables_pass_every_identity(self, xi):
+        # the plain-number closed forms must stay exact (no float, no
+        # rounding) on tables that are not integral
+        families = {"closed-form", "roundtrip", "double-locus"}
+        checks = verify_threefold_identities(make_context(3, 4, xi))
+        rows = [c for c in checks if c.name.split("/")[1] in families]
+        assert {c.name.split("/")[1] for c in rows} == families
+        assert all(c.passed and c.residual == "0" for c in rows), [str(c) for c in rows]
 
     def test_parity_check_present_on_numeric(self):
         checks = verify_threefold_identities(veronese_threefold_context())
