@@ -767,13 +767,15 @@ def substitute(
     Every non-scalar variable occurring in p must be assigned (scalar ``xi``
     symbols pass through untouched unless explicitly remapped).  The result
     is truncated to ``cap`` when given, otherwise to the tightest cap among
-    p and the images; each factor's product is truncated to the smaller of
-    that cap and the factor image's own.
+    p and the images.  Each image is read as the polynomial it stores,
+    truncated at that one cap before its powers are taken, and every product
+    is truncated at it too, so the result does not depend on factor order.
     """
     images = {v: lift(img) for v, img in assignment.items()}
     if cap is None:
         caps = [c for c in [p.cap] + [img.cap for img in images.values()] if c is not None]
         cap = min(caps) if caps else None
+    images = {v: img.truncated(cap) for v, img in images.items()}
     powers: dict = {}  # (variable, exponent) -> image ** exponent
     acc: dict = {}
     get = acc.get
@@ -794,13 +796,8 @@ def substitute(
                     )
                 power = powers[factor] = image if e == 1 else image ** e
             kappa = _join_kappa(kappa, power.kappa)
-            factor_cap = _join_cap(cap, power.cap)
-            if term is None:  # the first factor: no products to form yet
-                term = power._terms
-                if factor_cap != power.cap:
-                    term = {m: c for m, c in term.items() if _weight(m, kappa) <= factor_cap}
-            else:
-                term = _product(term, power._terms, factor_cap, kappa)
+            # the first factor needs no products; its image is already at cap
+            term = power._terms if term is None else _product(term, power._terms, cap, kappa)
         if term is None:  # the constant monomial
             term = {0: 1}
         for m, c in term.items():

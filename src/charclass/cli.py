@@ -35,11 +35,9 @@ from typing import NamedTuple, Sequence
 from . import presets, surface, tables, threefold
 from .algebra import (
     ExponentOverflowError,
-    GradedPolynomial,
     IncompleteSubstitutionError,
     NonUnitSeriesError,
     RingMismatchError,
-    render,
 )
 from .context import MapContext, SYMBOLIC, TruncationError, make_context
 from .report import Check, all_passed
@@ -170,35 +168,27 @@ def _parse_character_input(text: str, kind: str) -> dict:
 
 # ---------------------------------------------------------------------------
 # output helpers
-
-
-def _scalar_text(value: GradedPolynomial) -> str:
-    if value.is_constant():
-        return str(value.constant_value())
-    return render(value)
+#
+# Characters, inverted tables and residuals are printed with ``str``, which
+# gives the canonical text for int, Fraction and GradedPolynomial alike.
 
 
 def _check_json(check: Check) -> dict:
-    doc = {"name": check.name, "passed": check.passed}
-    if check.residual is not None:
-        doc["residual"] = check.residual
-    if check.detail is not None:
-        doc["detail"] = check.detail
-    return doc
+    return {k: v for k, v in check._asdict().items() if v is not None}
 
 
 def _print_result(doc, characters: dict, checks: list, as_json: bool, out) -> None:
     if as_json:
         result = {
             "input": doc.echo(),
-            "characters": {k: _scalar_text(v) for k, v in characters.items()},
+            "characters": {k: str(v) for k, v in characters.items()},
             "diagnostics": [_check_json(c) for c in checks],
         }
         print(json.dumps(result, indent=2), file=out)
         return
     width = max(len(k) for k in characters)
     for name, value in characters.items():
-        print(f"{name:<{width}}  {_scalar_text(value)}", file=out)
+        print(f"{name:<{width}}  {value}", file=out)
     failures = [c for c in checks if not c.passed]
     print(f"diagnostics: {len(checks) - len(failures)}/{len(checks)} passed", file=out)
     for c in failures:
@@ -356,7 +346,7 @@ def run_command(argv: Sequence[str] | None = None, stdin=None, stdout=None, stde
             else:
                 keys, values = THREEFOLD_KEYS, threefold.threefold_invert(**chars)
             table = {"d": str(chars["d"])}
-            table.update({k: _scalar_text(v) for k, v in zip(keys[1:], values)})
+            table.update({k: str(v) for k, v in zip(keys[1:], values)})
             if args.json:
                 print(json.dumps({"kind": args.kind, "chern_data": table}, indent=2), file=out)
             else:
@@ -381,13 +371,13 @@ def run_command(argv: Sequence[str] | None = None, stdin=None, stdout=None, stde
                 print(
                     json.dumps(
                         {"kind": args.kind, "character": args.character,
-                         "polynomial": render(value), "provenance": provenance},
+                         "polynomial": str(value), "provenance": provenance},
                         indent=2,
                     ),
                     file=out,
                 )
             else:
-                print(f"{args.character} = {render(value)}", file=out)
+                print(f"{args.character} = {value}", file=out)
                 print(f"provenance: {provenance}", file=out)
             return 0
 
@@ -410,6 +400,9 @@ def run_command(argv: Sequence[str] | None = None, stdin=None, stdout=None, stde
     except (InputError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=err)
         return 2
+    except Exception as exc:  # any other failure is the engine's, not the input's
+        print(f"internal error: {type(exc).__name__}: {exc}", file=err)
+        return 3
 
 
 def main() -> None:

@@ -314,6 +314,13 @@ class MapContext:
         return self.integrate(source_chern_total(self._m) * self.evaluate(series))
 
 
+def require_dims(ctx: MapContext, dims: tuple, kind: str) -> None:
+    """Refuse a context whose (m, n) is not ``dims`` for ``kind`` characters."""
+    got = (ctx.source_dim, ctx.target_dim)
+    if got != dims:
+        raise ValueError(f"{kind} characters need a {dims} context, got {got}")
+
+
 def make_context(source_dim: int, target_dim: int, xi) -> MapContext:
     """Build a validated context; pass ``"symbolic"`` for the generic one.
 

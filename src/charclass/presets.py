@@ -161,7 +161,7 @@ def preset_document(name: str, degree=None) -> dict:
     if not ctx.is_numeric():
         raise ValueError(f"preset {name!r} needs --degree")
     data = {
-        xi_label(index): str(value.constant_value())
+        xi_label(index): str(value)
         for index, value in sorted(ctx.xi.items(), key=lambda kv: (len(kv[0]), kv[0]))
     }
     return {"kind": kind, "chern_data": data}

@@ -15,8 +15,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import tables
-from .algebra import TARGET_HYPERPLANE_VAR, hyperplane_coefficient, lift, render
-from .context import SYMBOLIC, MapContext, Scalar, make_context
+from .algebra import TARGET_HYPERPLANE_VAR, hyperplane_coefficient
+from .context import SYMBOLIC, MapContext, Scalar, make_context, require_dims
 from .report import Check, identities, integrality, numbers
 
 
@@ -45,21 +45,13 @@ class SurfaceCharacters(NamedTuple):
         return self._asdict()
 
 
-def _require_surface(ctx: MapContext) -> None:
-    if (ctx.source_dim, ctx.target_dim) != (2, 3):
-        raise ValueError(
-            f"surface characters need a (2, 3) context, got "
-            f"({ctx.source_dim}, {ctx.target_dim})"
-        )
-
-
 def surface_characters(ctx: MapContext) -> SurfaceCharacters:
     """Compute all surface characters through the class pipeline.
 
     The result is kept in the context's memo, so the verification report
     reuses the table the caller already computed.
     """
-    _require_surface(ctx)
+    require_dims(ctx, (2, 3), "surface")
     return ctx.memo("surface_characters", lambda: _surface_pipeline(ctx))
 
 
@@ -104,14 +96,14 @@ def _surface_pipeline(ctx: MapContext) -> SurfaceCharacters:
 def surface_invert(d, eps0, C, T) -> tuple:
     """Solve the degree table from (d, eps0, C, T).
 
-    Exact inversion of the degree/crosscap/triple-point formulas on plain
-    numbers or scalar polynomials as passed; returns (xi1, xi2, xi01) lifted
-    to scalar polynomials.
+    Exact inversion of the degree/crosscap/triple-point formulas; returns
+    (xi1, xi2, xi01) as computed from the arguments: plain exact numbers for
+    plain numbers, scalar polynomials for polynomials.
     """
     xi1 = d * (4 - d) + 2 * eps0
     xi2 = d * (d - 4) ** 2 + (16 - 3 * d) * eps0 + 3 * T - C
     xi01 = d * (d ** 2 - 4 * d + 6) + (8 - 3 * d) * eps0 + 3 * T - 2 * C
-    return lift(xi1), lift(xi2), lift(xi01)
+    return xi1, xi2, xi01
 
 
 def verify_surface_relations(ctx: MapContext) -> list:
@@ -119,15 +111,15 @@ def verify_surface_relations(ctx: MapContext) -> list:
 
     Characters are engine-computed; each relation reports the exact
     difference of its two sides.  Numeric contexts run those lines on plain
-    exact numbers and additionally get integrality checks, which read the
-    pipeline's own values; every context gets the round trip through
-    :func:`surface_invert`.
+    exact numbers (:func:`~charclass.report.numbers`) and additionally get
+    integrality checks on the same numbers; every context gets the round
+    trip through :func:`surface_invert`.
     """
-    _require_surface(ctx)
-    ch = v = surface_characters(ctx)
+    require_dims(ctx, (2, 3), "surface")
+    v = surface_characters(ctx)
     xi = [ctx.xi_scalar(index) for index in ((1,), (2,), (0, 1))]
     if ctx.is_numeric():
-        v, xi = ch._make(numbers(ch)), numbers(xi)
+        v, xi = v._make(numbers(v)), numbers(xi)
     x1, x2, x01 = xi
     d = v.mu0
     checks = identities("surface/relation", [
@@ -178,7 +170,7 @@ def verify_surface_relations(ctx: MapContext) -> list:
         ("eps1/elementary", v.eps1, (d - 2) * v.eps0 - 3 * v.T - half * v.C),
     ])
     if ctx.is_numeric():
-        values = ch._asdict()
+        values = v._asdict()
         checks += integrality("surface/integrality", values,
                               ["C", "T", "eps0", "mu1", "mu2", "kappa_cusps"], True)
         checks += integrality("surface/integrality", values, ["rho", "eps1"], False)
@@ -210,8 +202,8 @@ def surface_typo_diagnostics() -> list:
     checks.append(
         Check(
             name="surface/typo/rho-line-swaps-xi2-xi01",
-            passed=(delta == 3 * (x01 - x2)) and not delta.is_zero(),
-            residual=render(delta),
+            passed=delta == 3 * (x01 - x2) and bool(delta),
+            residual=str(delta),
             detail="engine minus transcribed line must be exactly 3*(xi01 - xi2)",
         )
     )
@@ -224,15 +216,15 @@ def surface_typo_diagnostics() -> list:
     checks.append(
         Check(
             name="surface/typo/s01-coefficient-equals-crosscap-count",
-            passed=(engine_coeff - corrected).is_zero() and (engine_coeff - ch.C).is_zero(),
-            residual=render(engine_coeff - corrected),
+            passed=not (engine_coeff - corrected) and not (engine_coeff - ch.C),
+            residual=str(engine_coeff - corrected),
         )
     )
     checks.append(
         Check(
             name="surface/typo/s01-line-misprints-6d",
             passed=(engine_coeff - line_rest == 6 * d),
-            residual=render(engine_coeff - line_rest),
+            residual=str(engine_coeff - line_rest),
             detail="difference against the transcribed line must be exactly 6*d",
         )
     )

@@ -30,12 +30,10 @@ from .algebra import (
     VarKind,
     atom,
     gysin_map,
-    lift,
-    render,
     source_chern,
 )
 from .context import (
-    SYMBOLIC, MapContext, Scalar, make_context, quotient_chern_classes, shared,
+    SYMBOLIC, MapContext, Scalar, make_context, quotient_chern_classes, require_dims, shared,
 )
 from .report import Check, identities, integrality, numbers
 
@@ -60,14 +58,6 @@ class ThreefoldCharacters(NamedTuple):
 
     def as_dict(self) -> dict:
         return self._asdict()
-
-
-def _require_threefold(ctx: MapContext) -> None:
-    if (ctx.source_dim, ctx.target_dim) != (3, 4):
-        raise ValueError(
-            f"threefold characters need a (3, 4) context, got "
-            f"({ctx.source_dim}, {ctx.target_dim})"
-        )
 
 
 def _gysin_push(y: GradedPolynomial, table: Mapping, cap: int) -> GradedPolynomial:
@@ -130,7 +120,7 @@ def _critical_surface_pushes(table: Mapping) -> tuple:
 
 def threefold_basic(ctx: MapContext) -> tuple:
     """(mu0, t, gamma, q, s_t, chi_C) via the universal-class pipeline."""
-    _require_threefold(ctx)
+    require_dims(ctx, (3, 4), "threefold")
     tp = tables.thom_polynomial
     at = ctx.hyperplane()
     mu0 = ctx.integrate(ctx.evaluate(tp("A0^2", 1)) * at ** 2) / 2
@@ -145,9 +135,9 @@ def threefold_basic(ctx: MapContext) -> tuple:
 def threefold_invert(d, mu0, t, q, s_t, gamma, chi_C) -> tuple:
     """Chern degrees of the normalization from the seven basic characters.
 
-    Exact evaluation of the inversion polynomials on plain numbers or scalar
-    polynomials as passed; returns (xi1, xi2, xi01, xi3, xi11, xi001) lifted
-    to scalar polynomials.
+    Exact evaluation of the inversion polynomials; returns (xi1, xi2, xi01,
+    xi3, xi11, xi001) as computed from the arguments: plain exact numbers
+    for plain numbers, scalar polynomials for polynomials.
     """
     half = Fraction(1, 2)
     xi1 = 5 * d - d ** 2 + 2 * mu0
@@ -169,7 +159,7 @@ def threefold_invert(d, mu0, t, q, s_t, gamma, chi_C) -> tuple:
         + 4 * q + 3 * half * s_t + (15 - 4 * d) * t + (10 - 3 * half * d) * gamma
         - 4 * chi_C
     )
-    return tuple(map(lift, (xi1, xi2, xi01, xi3, xi11, xi001)))
+    return xi1, xi2, xi01, xi3, xi11, xi001
 
 
 def elementary_characters(ctx: MapContext) -> tuple:
@@ -185,7 +175,7 @@ def elementary_characters(ctx: MapContext) -> tuple:
     B + D the cusps of the second, and total_polar all critical points of
     the third.
     """
-    _require_threefold(ctx)
+    require_dims(ctx, (3, 4), "threefold")
     tp = tables.thom_polynomial
     at = ctx.hyperplane()
     g = ctx.project()
@@ -232,7 +222,7 @@ def double_locus_calculus(ctx: MapContext) -> DoubleLocusData:
     system: the stationary class gives the mixed entry directly, then the
     triple- and quadruple-point identities peel off the remaining two.
     """
-    _require_threefold(ctx)
+    require_dims(ctx, (3, 4), "threefold")
     tp = tables.thom_polynomial
     double = ctx.evaluate(tp("A0^2", 1))
     triple = ctx.evaluate(tp("A0^3", 1))
@@ -264,7 +254,7 @@ def canonical_dot_critical(ctx: MapContext) -> Scalar:
     The top-weight part of minus the first source Chern class times the
     crosscap-curve class, integrated.
     """
-    _require_threefold(ctx)
+    require_dims(ctx, (3, 4), "threefold")
     c1 = atom(source_chern(1))
     return ctx.integrate(-c1 * ctx.evaluate(tables.thom_polynomial("A1", 1)))
 
@@ -302,15 +292,16 @@ def _xi7(ctx: MapContext) -> tuple:
 def verify_threefold_identities(ctx: MapContext) -> list:
     """Engine-vs-closed-form checks, round trips and structural identities.
 
-    On a numeric table the closed forms and the round trip run on plain
-    exact numbers; the integrality and parity checks read the pipeline's own
-    values.
+    On a numeric table the closed forms, the round trip and the integrality
+    and parity checks run on plain exact numbers
+    (:func:`~charclass.report.numbers`); the double-locus identities stay
+    polynomial identities in the source ring.
     """
-    _require_threefold(ctx)
-    ch = v = threefold_characters(ctx)
+    require_dims(ctx, (3, 4), "threefold")
+    v = threefold_characters(ctx)
     xi = _xi7(ctx)
     if ctx.is_numeric():
-        v, xi = ch._make(numbers(ch)), numbers(xi)
+        v, xi = v._make(numbers(v)), numbers(xi)
     d, x1, x2, x01, x3, x11, x001 = xi
     half, third, quarter = Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)
 
@@ -363,15 +354,12 @@ def verify_threefold_identities(ctx: MapContext) -> list:
     ])
 
     if ctx.is_numeric():
-        checks += integrality("threefold/integrality", ch._asdict(),
+        checks += integrality("threefold/integrality", v._asdict(),
                               ["d", "mu0", "t", "q", "s_t", "gamma", "m1", "m2", "m3",
                                "D_swallowtail", "B_plus_D", "total_polar"], True)
-        chi = ch.chi_C.constant_value()
-        checks.append(
-            Check(name="threefold/parity/chi_C-even",
-                  passed=chi.denominator == 1 and chi.numerator % 2 == 0,
-                  detail=f"value {chi}")
-        )
+        # an exact rational x is an even integer exactly when x % 2 == 0
+        checks.append(Check(name="threefold/parity/chi_C-even", passed=v.chi_C % 2 == 0,
+                            detail=f"value {v.chi_C}"))
     return checks
 
 
@@ -393,14 +381,14 @@ def threefold_typo_diagnostics() -> list:
     return [
         Check(
             name="threefold/typo/m2-engine-form",
-            passed=agrees.is_zero(),
-            residual=render(agrees),
+            passed=not agrees,
+            residual=str(agrees),
             detail="engine m2 must equal 6d - 3 xi1 + xi01",
         ),
         Check(
             name="threefold/typo/m2-line-flips-xi01-sign",
-            passed=(delta == 2 * x01) and not delta.is_zero(),
-            residual=render(delta),
+            passed=delta == 2 * x01 and bool(delta),
+            residual=str(delta),
             detail="engine minus transcribed line must be exactly 2*xi01",
         ),
     ]

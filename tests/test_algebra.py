@@ -190,6 +190,12 @@ class TestSubstitute:
         result = substitute(C1 ** 2, {quotient_chern(1): AT + AT ** 2}, cap=2)
         assert result == AT ** 2
 
+    def test_result_does_not_depend_on_factor_order(self):
+        short, long = (AT + AT ** 2).truncated(1), (AT + AT ** 2).truncated(3)
+        c1, c2 = quotient_chern(1), quotient_chern(2)
+        got = substitute(C1 * C2, {c1: short, c2: long}, cap=3)
+        assert got == substitute(C1 * C2, {c1: long, c2: short}, cap=3) == AT ** 2 + AT ** 3
+
 
 class TestGysinMap:
     def test_parts(self):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from charclass.algebra import (
     GradedPolynomial,
@@ -19,6 +19,7 @@ from charclass.algebra import (
     atom,
     constant,
     lift,
+    render,
     source_chern,
     substitute,
     xi_symbol,
@@ -90,6 +91,21 @@ class TestTrustedResultsAreCanonical:
         assert type(constant(value).constant_value()) is Fraction
         assert constant(value).constant_value() == value
         assert type((p - p).constant_value()) is Fraction
+
+    @settings(max_examples=200)
+    @given(polys(), st.one_of(coefficients, st.integers(-10 ** 150, 10 ** 150)))
+    @example(GradedPolynomial(), 10 ** 149 + 7)
+    @example(GradedPolynomial(), -(10 ** 150) + 1)
+    @example(GradedPolynomial(), Fraction(-7, 3))
+    @example(GradedPolynomial(), Fraction(0))
+    @example(GradedPolynomial(), 0)
+    def test_numbers_and_polynomials_share_zero_and_text(self, p, value):
+        # the reports and the CLI test ``not x`` and print ``str(x)`` on
+        # plain exact numbers and polynomials alike
+        assert str(constant(value)) == str(value)
+        assert bool(constant(value)) == bool(value)
+        assert bool(p) == (not p.is_zero())
+        assert str(p) == render(p)
 
     def test_integral_fractions_are_stored_as_int(self):
         half = constant(Fraction(1, 2))

@@ -392,6 +392,17 @@ class TestExitCodes:
         assert code == 3
         assert err == "internal error: no pushforward image for Chern monomial (1,)\n"
 
+    @pytest.mark.parametrize("fault", [KeyError, TypeError, ZeroDivisionError, AttributeError])
+    def test_unexpected_exception_is_3(self, monkeypatch, fault):
+        # a bug of any other type is still the engine's, never a verification failure
+        def broken(ctx):
+            raise fault("engine fault")
+
+        monkeypatch.setattr(surface, "surface_characters", broken)
+        code, out, err = run(["surface"], stdin_text=ROMAN_DOC)
+        assert (code, out) == (3, "")
+        assert err == f"internal error: {fault.__name__}: {fault('engine fault')}\n"
+
 
 @pytest.mark.parametrize("module", ["charclass", "charclass.cli"])
 def test_python_m_entry_point(module):

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import charclass
-from charclass import context, tables
+from charclass import context, surface, tables, threefold
 from charclass.algebra import (
     RingMismatchError,
     SOURCE_HYPERPLANE_VAR,
@@ -90,6 +90,20 @@ class TestMakeContext:
     def test_extra_entry_rejected(self):
         with pytest.raises(ValueError, match="beyond weight"):
             make_context(2, 3, dict(ROMAN, xi3=1))
+
+    @pytest.mark.parametrize("pipeline, dims, message", [
+        (surface.surface_characters, (3, 4), "surface characters need a (2, 3) context, got (3, 4)"),
+        (surface.verify_surface_relations, (2, 4),
+         "surface characters need a (2, 3) context, got (2, 4)"),
+        (threefold.threefold_characters, (2, 3),
+         "threefold characters need a (3, 4) context, got (2, 3)"),
+        (threefold.verify_threefold_identities, (3, 5),
+         "threefold characters need a (3, 4) context, got (3, 5)"),
+    ])
+    def test_pipelines_refuse_other_dimensions(self, pipeline, dims, message):
+        with pytest.raises(ValueError) as info:
+            pipeline(make_context(*dims, SYMBOLIC))
+        assert str(info.value) == message
 
 
 class TestQuotientChern:

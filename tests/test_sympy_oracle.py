@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 sympy = pytest.importorskip("sympy")
 
@@ -107,6 +107,11 @@ class TestAgainstSympy:
 
     @ORACLE
     @given(abstract_polys, st.lists(source_polys, min_size=7, max_size=7), caps)
+    # s0^2 with s0 -> c1^2 of cap 2: the image's own cap is below the result's 4
+    @example(GradedPolynomial([(((ABSTRACT_VARS[3], 2),), 1)], kappa=KAPPA),
+             [GradedPolynomial()] * 3 + [(atom(source_chern(1)) ** 2).truncated(2)]
+             + [GradedPolynomial()] * 3,
+             4)
     def test_substitute(self, p, images, cap):
         assignment = dict(zip(ABSTRACT_VARS, images))
         got = substitute(p, assignment, cap=cap)
