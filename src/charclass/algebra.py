@@ -17,8 +17,10 @@ families cover everything the calculus needs:
 A polynomial may carry a weight cap.  Terms heavier than the cap are dropped
 eagerly at every operation, which is how truncated series such as total
 Chern classes are modelled.  Coefficients are exact rationals, stored as
-``int`` when integral and as :class:`fractions.Fraction` otherwise, so every
-value has one stored form; floats are refused with :class:`TypeError` and
+``int`` numerators over one positive ``int`` denominator in lowest terms (the
+form of FLINT's ``fmpq_poly``), so every value has one stored form and the
+arithmetic runs on ``int`` only; readers hand out ``int`` or
+:class:`fractions.Fraction`.  Floats are refused with :class:`TypeError` and
 nothing here ever rounds.
 
 Internally a monomial is one packed ``int`` (see the monomials section), so
@@ -41,6 +43,7 @@ import threading
 from enum import IntEnum
 from fractions import Fraction
 from functools import lru_cache, reduce
+from math import gcd, lcm
 from operator import or_
 from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
@@ -338,7 +341,7 @@ Coefficient = Union[int, Fraction]
 
 
 def _coefficient(value) -> Coefficient:
-    """The stored form of an exact number: ``int`` if integral, else Fraction."""
+    """An exact number as ``int`` if integral, else as Fraction; floats are refused."""
     if type(value) is int:
         return value
     if isinstance(value, float):
@@ -372,19 +375,20 @@ class GradedPolynomial:
     """Sparse multivariate polynomial with weighted variables.
 
     ``terms`` maps monomials (iterables of ``(Var, exponent)`` pairs) to
-    coefficients; they are stored packed, with nonzero coefficients kept as
-    ``int`` when integral and as Fraction otherwise.  ``cap`` is an
+    coefficients; they are stored packed, as nonzero ``int`` numerators over
+    one positive ``int`` denominator ``_den`` in lowest terms (1 for the zero
+    polynomial).  ``cap`` is an
     optional weight bound: terms above it are dropped at construction and the
     bound propagates through arithmetic as the minimum of the operand caps.
     ``kappa`` is stored exactly when a Landweber-Novikov variable occurs and
     is required to weigh such terms; it is normalised to ``None`` otherwise.
 
-    Equality compares the stored terms only (a cap is bookkeeping about how
-    much of a series is known, not part of the value); comparison against
-    plain integers and Fractions works for constants.
+    Equality compares the stored terms and denominator only (a cap is
+    bookkeeping about how much of a series is known, not part of the value);
+    comparison against plain integers and Fractions works for constants.
     """
 
-    __slots__ = ("_terms", "cap", "kappa")
+    __slots__ = ("_terms", "_den", "cap", "kappa")
 
     def __init__(
         self,
@@ -395,10 +399,13 @@ class GradedPolynomial:
     ):
         items = terms.items() if isinstance(terms, (dict, Mapping)) else (terms or ())
         acc: dict = {}
+        den = 1  # the lcm of the denominators of the Fraction coefficients
         for mono, coeff in items:
             coeff = _coefficient(coeff)
             if not coeff:
                 continue
+            if type(coeff) is not int:
+                den = lcm(den, coeff.denominator)
             mono = _encode(mono)
             new = acc.get(mono, 0) + coeff
             if new:
@@ -413,8 +420,11 @@ class GradedPolynomial:
             cap = int(cap)
             if cap < 0:
                 raise ValueError("weight cap must be non-negative")
-        built = _build(acc, cap, kappa)
+        if den != 1:
+            acc = {m: c.numerator * (den // c.denominator) for m, c in acc.items()}
+        built = _build(acc, den, cap, kappa)
         _set_terms(self, built._terms)
+        _set_den(self, built._den)
         _set_cap(self, cap)
         _set_kappa(self, built.kappa)
 
@@ -424,14 +434,16 @@ class GradedPolynomial:
     # -- inspection ---------------------------------------------------------
 
     def items(self) -> Iterator:
-        """(monomial, coefficient) pairs, monomials as sorted (Var, exponent) tuples."""
-        return ((_decode(m), c) for m, c in self._terms.items())
+        """(monomial, coefficient) pairs: sorted (Var, exponent) tuples, int or Fraction."""
+        den = self._den
+        return ((_decode(m), Fraction(c, den) if c % den else c // den)
+                for m, c in self._terms.items())
 
     def __len__(self) -> int:
         return len(self._terms)
 
     def coefficient(self, mono: Iterable) -> Fraction:
-        return Fraction(self._terms.get(_encode(mono), 0))
+        return Fraction(self._terms.get(_encode(mono), 0), self._den)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -443,7 +455,7 @@ class GradedPolynomial:
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError(f"{self} is not a constant")
-        return Fraction(self._terms.get(0, 0))
+        return Fraction(self._terms.get(0, 0), self._den)
 
     def variables(self) -> set:
         return {v for mono in self._terms for v, _ in _decode(mono)}
@@ -452,7 +464,7 @@ class GradedPolynomial:
         """The homogeneous part of the given total weight (possibly zero)."""
         kappa = self.kappa
         ts = {m: c for m, c in self._terms.items() if _weight(m, kappa) == weight}
-        return _build(ts, self.cap, kappa, True)
+        return _build(ts, self._den, self.cap, kappa, True)
 
     def is_homogeneous(self, weight: int) -> bool:
         return all(_weight(m, self.kappa) == weight for m in self._terms)
@@ -461,40 +473,40 @@ class GradedPolynomial:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, GradedPolynomial):
-            return self._terms == other._terms
+            return self._den == other._den and self._terms == other._terms
         if isinstance(other, (int, Fraction)):
-            return self._terms == ({0: other} if other else {})
+            return (self._den == other.denominator
+                    and self._terms == ({0: other.numerator} if other else {}))
         return NotImplemented
 
     def _plus(self, other, subtract: bool) -> "GradedPolynomial":
         """self + other, or self - other when ``subtract``."""
-        terms = self._terms
-        constant = len(terms) < 2 and (not terms or 0 in terms)
-        if not isinstance(other, GradedPolynomial):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            value = terms.get(0, 0)
-            value = value - other if subtract else value + other
-            if constant:
-                return _scalar(value, self.cap)
-            acc = dict(terms)
-            acc[0] = value
-            return _build(acc, self.cap, self.kappa, True)
-        right = other._terms
-        cap = _join_cap(self.cap, other.cap)
-        if constant and len(right) < 2 and (not right or 0 in right):
-            value, k = terms.get(0, 0), right.get(0, 0)
-            return _scalar(value - k if subtract else value + k, cap)
-        kappa = _join_kappa(self.kappa, other.kappa)
-        acc = dict(terms)
-        get = acc.get
-        if subtract:
-            for mono, coeff in right.items():
-                acc[mono] = get(mono, 0) - coeff
+        if isinstance(other, GradedPolynomial):
+            right, rden, kappa = other._terms, other._den, other.kappa
+            cap = _join_cap(self.cap, other.cap)
+            capped = self.cap == other.cap
+        elif isinstance(other, (int, Fraction)):
+            right, rden, kappa = {0: other.numerator} if other else {}, other.denominator, None
+            cap, capped = self.cap, True
         else:
-            for mono, coeff in right.items():
-                acc[mono] = get(mono, 0) + coeff
-        return _build(acc, cap, kappa, self.cap == other.cap)
+            return NotImplemented
+        terms, den = self._terms, self._den
+        if (len(terms) < 2 and (not terms or 0 in terms)
+                and len(right) < 2 and (not right or 0 in right)):
+            value, k = terms.get(0, 0) * rden, right.get(0, 0) * den
+            return _scalar(value - k if subtract else value + k, den * rden, cap)
+        kappa = _join_kappa(self.kappa, kappa)
+        scale = -1 if subtract else 1
+        if den == rden:
+            acc = dict(terms)
+        else:  # both sides over their lcm
+            common = lcm(den, rden)
+            acc = {m: c * (common // den) for m, c in terms.items()}
+            den, scale = common, scale * (common // rden)
+        get = acc.get
+        for mono, coeff in right.items():
+            acc[mono] = get(mono, 0) + scale * coeff
+        return _build(acc, den, cap, kappa, capped)
 
     def __add__(self, other) -> "GradedPolynomial":
         return self._plus(other, False)
@@ -502,9 +514,7 @@ class GradedPolynomial:
     __radd__ = __add__
 
     def __neg__(self) -> "GradedPolynomial":
-        return _build(
-            {m: -c for m, c in self._terms.items()}, self.cap, self.kappa, True
-        )
+        return _times(self, -1, 1, self.cap, True)
 
     def __sub__(self, other) -> "GradedPolynomial":
         return self._plus(other, True)
@@ -513,26 +523,18 @@ class GradedPolynomial:
         return (-self)._plus(other, False)
 
     def __mul__(self, other) -> "GradedPolynomial":
-        left = self._terms
-        constant = len(left) < 2 and (not left or 0 in left)
         if not isinstance(other, GradedPolynomial):
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
-            if constant:
-                return _scalar(left.get(0, 0) * other, self.cap)
-            return _build({m: c * other for m, c in left.items()}, self.cap, self.kappa, True)
-        right = other._terms
+            return _times(self, other.numerator, other.denominator, self.cap, True)
+        left, right = self._terms, other._terms
         cap = _join_cap(self.cap, other.cap)
         if len(right) < 2 and (not right or 0 in right):  # scaling by a constant
-            k = right.get(0, 0)
-            if constant:
-                return _scalar(left.get(0, 0) * k, cap)
-            return _build({m: c * k for m, c in left.items()}, cap, self.kappa, self.cap == cap)
+            return _times(self, right.get(0, 0), other._den, cap, self.cap == cap)
+        if len(left) < 2 and (not left or 0 in left):
+            return _times(other, left.get(0, 0), self._den, cap, other.cap == cap)
         kappa = _join_kappa(self.kappa, other.kappa)
-        if constant:
-            k = left.get(0, 0)
-            return _build({m: k * c for m, c in right.items()}, cap, kappa, other.cap == cap)
-        return _build(_product(left, right, cap, kappa), cap, kappa, True)
+        return _build(_product(left, right, cap, kappa), self._den * other._den, cap, kappa, True)
 
     __rmul__ = __mul__
 
@@ -540,26 +542,28 @@ class GradedPolynomial:
         if isinstance(other, GradedPolynomial):
             if not other.is_constant():
                 raise ValueError("can only divide by a nonzero constant")
-            other = other.constant_value()
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                raise ZeroDivisionError("division of polynomial by zero")
-            return self * (1 / Fraction(other))
-        return NotImplemented
+            num, den = other._terms.get(0, 0), other._den
+        elif isinstance(other, (int, Fraction)):
+            num, den = other.numerator, other.denominator
+        else:
+            return NotImplemented
+        if not num:
+            raise ZeroDivisionError("division of polynomial by zero")
+        return _times(self, -den if num < 0 else den, abs(num), self.cap, True)
 
     def __pow__(self, power: int) -> "GradedPolynomial":
         power = int(power)
         if power < 0:
             raise ValueError("negative powers are not defined here")
         if self.is_constant():
-            return _scalar(self._terms.get(0, 0) ** power, self.cap)
+            return _scalar(self._terms.get(0, 0) ** power, self._den ** power, self.cap)
         if power and len(self._terms) == 1:  # a single term: scale its exponents
             (mono, coeff), = self._terms.items()
             top = max(mono & _MASK, mono >> _FIELD & _MASK, *(e for _, e in _decode(mono)))
             if top * power > EXPONENT_LIMIT:
                 raise _overflow(f"power {power} of a monomial with exponent or weight {top}")
-            return _build({mono * power: coeff ** power}, self.cap, self.kappa)
-        result = _scalar(1, self.cap)
+            return _build({mono * power: coeff ** power}, self._den ** power, self.cap, self.kappa)
+        result = _scalar(1, 1, self.cap)
         base = self
         while power:
             if power & 1:
@@ -577,7 +581,7 @@ class GradedPolynomial:
             if cap < 0:
                 raise ValueError("weight cap must be non-negative")
         capped = cap is None or (self.cap is not None and cap >= self.cap)
-        return _build(self._terms, cap, self.kappa, capped)
+        return _build(self._terms, self._den, cap, self.kappa, capped)
 
     def __str__(self) -> str:
         return render(self)
@@ -588,48 +592,66 @@ class GradedPolynomial:
 
 # slot setters, bypassing the immutability guard of __setattr__
 _set_terms = GradedPolynomial._terms.__set__
+_set_den = GradedPolynomial._den.__set__
 _set_cap = GradedPolynomial.cap.__set__
 _set_kappa = GradedPolynomial.kappa.__set__
 _new = object.__new__
 
 
 def _build(
-    terms: Mapping, cap: int | None = None, kappa: int | None = None, capped: bool = False,
+    terms: Mapping, den: int = 1, cap: int | None = None, kappa: int | None = None,
+    capped: bool = False,
 ) -> GradedPolynomial:
     """A polynomial from packed terms, as arithmetic produces them, unvalidated.
 
-    ``terms`` maps packed monomials to int or Fraction coefficients.  Zero
-    coefficients are dropped, integral Fractions stored as int, terms above
-    ``cap`` dropped (unless ``capped`` says none are) and kappa normalised
-    as in the public constructor.
+    ``terms`` maps packed monomials to int numerators over the positive int
+    ``den``.  Zero numerators are dropped, terms above ``cap`` dropped (unless
+    ``capped`` says none are), the fraction brought to lowest terms and kappa
+    normalised as in the public constructor.
     """
     if capped or cap is None:
-        acc = {m: c if type(c) is int or c.denominator != 1 else c.numerator
-               for m, c in terms.items() if c}
+        acc = {m: c for m, c in terms.items() if c}
     elif kappa:
-        acc = {m: c if type(c) is int or c.denominator != 1 else c.numerator
-               for m, c in terms.items()
+        acc = {m: c for m, c in terms.items()
                if c and (m & _MASK) + kappa * (m >> _FIELD & _MASK) <= cap}
     else:
-        acc = {m: c if type(c) is int or c.denominator != 1 else c.numerator
-               for m, c in terms.items() if c and m & _MASK <= cap}
+        acc = {m: c for m, c in terms.items() if c and m & _MASK <= cap}
+    if den != 1:
+        common = gcd(den, *acc.values())
+        if common != 1:
+            den //= common
+            acc = {m: c // common for m, c in acc.items()}
     # dropping terms may remove the last LN variable; renormalise
     if kappa is not None and not _has_ln(acc):
         kappa = None
     p = _new(GradedPolynomial)
     _set_terms(p, acc)
+    _set_den(p, den)
     _set_cap(p, cap)
     _set_kappa(p, kappa)
     return p
 
 
-def _scalar(value: Coefficient, cap: int | None) -> GradedPolynomial:
-    """A constant polynomial, for int or Fraction ``value``."""
+def _scalar(num: int, den: int, cap: int | None) -> GradedPolynomial:
+    """The constant polynomial num/den, for ints with ``den`` positive."""
+    if den != 1:
+        common = gcd(num, den)
+        num, den = num // common, den // common
     p = _new(GradedPolynomial)
-    _set_terms(p, {0: value.numerator if value.denominator == 1 else value} if value else {})
+    _set_terms(p, {0: num} if num else {})
+    _set_den(p, den)
     _set_cap(p, cap)
     _set_kappa(p, None)
     return p
+
+
+def _times(p: GradedPolynomial, num: int, den: int, cap: int | None,
+           capped: bool) -> GradedPolynomial:
+    """p * num/den, for ints with ``den`` positive, capped at ``cap``."""
+    terms = p._terms
+    if len(terms) < 2 and (not terms or 0 in terms):
+        return _scalar(terms.get(0, 0) * num, p._den * den, cap)
+    return _build({m: c * num for m, c in terms.items()}, p._den * den, cap, p.kappa, capped)
 
 
 def constant(value: Coefficient) -> GradedPolynomial:
@@ -704,8 +726,7 @@ def gysin_map(
     """
     splits = _SPLITS.setdefault((chern_kind, hyperplane_var), {})
     target = 0 if target_var is None else _unit(target_var)
-    acc: dict = {}
-    get = acc.get
+    hits = []  # (numerator, image value, monomial shift)
     kappa = None
     for mono, coeff in p._terms.items():
         part = splits.get(mono)
@@ -717,12 +738,19 @@ def gysin_map(
             continue
         value, k = got
         kappa = _join_kappa(kappa, value.kappa)
-        shift = scalar + k * target
+        hits.append((coeff, value, scalar + k * target))
+    # accumulate over the lcm of the image denominators
+    den = lcm(*(value._den for _, value, _ in hits))
+    acc: dict = {}
+    get = acc.get
+    for coeff, value, shift in hits:
+        if value._den != den:
+            coeff *= den // value._den
         for m, c in value._terms.items():
             m += shift
             acc[m] = get(m, 0) + coeff * c
     _check_fields(acc)
-    return _build(acc, cap, kappa)
+    return _build(acc, p._den * den, cap, kappa)
 
 
 def hyperplane_coefficient(p: GradedPolynomial, hyperplane_var: Var,
@@ -777,11 +805,10 @@ def substitute(
         cap = min(caps) if caps else None
     images = {v: img.truncated(cap) for v, img in images.items()}
     powers: dict = {}  # (variable, exponent) -> image ** exponent
-    acc: dict = {}
-    get = acc.get
+    hits = []  # (numerator, product terms, product denominator)
     kappa = None
     for mono, coeff in p._terms.items():
-        term = None
+        term, den = None, 1
         for factor in _decode(mono):
             power = powers.get(factor)
             if power is None:
@@ -798,11 +825,18 @@ def substitute(
             kappa = _join_kappa(kappa, power.kappa)
             # the first factor needs no products; its image is already at cap
             term = power._terms if term is None else _product(term, power._terms, cap, kappa)
-        if term is None:  # the constant monomial
-            term = {0: 1}
+            den *= power._den
+        hits.append((coeff, {0: 1} if term is None else term, den))
+    # accumulate over the lcm of the term denominators
+    common = lcm(*(den for _, _, den in hits))
+    acc: dict = {}
+    get = acc.get
+    for coeff, term, den in hits:
+        if den != common:
+            coeff *= common // den
         for m, c in term.items():
             acc[m] = get(m, 0) + coeff * c
-    return _build(acc, cap, kappa, True)
+    return _build(acc, p._den * common, cap, kappa, True)
 
 
 # ---------------------------------------------------------------------------
@@ -818,16 +852,16 @@ def render(p: GradedPolynomial) -> str:
     if p.is_zero():
         return "0"
     pieces = []
+    den = p._den
     terms = sorted((_weight(m, p.kappa), _decode(m), c) for m, c in p._terms.items())
     for _, mono, coeff in terms:
         body = "*".join(
             var_label(v) if e == 1 else f"{var_label(v)}^{e}" for v, e in mono
         )
-        mag = abs(coeff)
+        common = gcd(coeff, den)
+        text = str(abs(coeff) // common) + ("" if den == common else f"/{den // common}")
         if body:
-            text = body if mag == 1 else f"{mag}*{body}"
-        else:
-            text = str(mag)
+            text = body if text == "1" else f"{text}*{body}"
         if not pieces:
             pieces.append(f"-{text}" if coeff < 0 else text)
         else:
@@ -887,7 +921,10 @@ def parse(
         for i, tok in enumerate(body.split("*")):
             tok = tok.strip()
             if i == 0 and _COEFF_RE.match(tok):
-                coeff *= Fraction(tok)
+                try:
+                    coeff *= Fraction(tok)
+                except ZeroDivisionError:
+                    raise ValueError(f"zero denominator in {tok!r} of {text!r}") from None
                 continue
             m = _VAR_RE.match(tok)
             if not m:

@@ -341,6 +341,11 @@ class TestRendering:
         with pytest.raises(ValueError):
             parse("q7")
 
+    @pytest.mark.parametrize("text", ["1/0*d", "3/0", "d + 1/0"])
+    def test_parse_rejects_a_zero_denominator(self, text):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse(text)
+
 
 # hypothesis strategies for ring laws
 

@@ -1,14 +1,18 @@
 """Stored form of polynomials: every operation yields the canonical terms.
 
-Arithmetic builds its results without re-validating the terms, so each
-result is compared with a rebuild through the public constructor: same
-monomials, same coefficient values and types (``int`` when integral,
-``Fraction`` otherwise), same cap and kappa.  Floats are refused.
+A polynomial stores ``int`` numerators over one positive ``int`` denominator
+in lowest terms.  Arithmetic builds its results without re-validating the
+terms, so each result is checked for that form and compared with a rebuild
+through the public constructor: same monomials, same coefficient values and
+types as the readers hand them out (``int`` when integral, ``Fraction``
+otherwise), same cap and kappa, and equal both ways, which a denominator
+left unreduced would break.  Floats are refused.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -29,6 +33,8 @@ from charclass.context import make_context
 from conftest import ABSTRACT_VARS
 
 DEGREE = xi_symbol(())
+# two coprime denominators far beyond any machine word
+WIDE_A, WIDE_B = 10 ** 40 + 1, 10 ** 40 + 3
 VARIABLES = ABSTRACT_VARS + [DEGREE, xi_symbol((1,))]
 SOURCE_IMAGES = [
     atom(source_chern(1)),
@@ -64,11 +70,25 @@ def assert_canonical(p: GradedPolynomial) -> None:
     assert (p.cap, p.kappa) == (rebuilt.cap, rebuilt.kappa)
     for c in typed.values():
         assert c[0] is (int if c[1].denominator == 1 else Fraction)
+    assert p == rebuilt and rebuilt == p
+    # the stored form: int numerators over one positive denominator, in lowest terms
+    assert type(p._den) is int and p._den > 0
+    assert all(type(c) is int and c for c in p._terms.values())
+    assert gcd(p._den, *p._terms.values()) == 1
+
+
+def wide(a: int, b: int) -> GradedPolynomial:
+    """d/a + xi1/b, kappa 1 as the strategy draws it."""
+    return GradedPolynomial({((DEGREE, 1),): Fraction(1, a),
+                             ((xi_symbol((1,)), 1),): Fraction(1, b)}, kappa=1)
 
 
 class TestTrustedResultsAreCanonical:
     @settings(max_examples=300)
     @given(polys(), polys(), st.integers(0, 3), caps, coefficients)
+    @example(wide(WIDE_A, WIDE_B), wide(WIDE_A, WIDE_B), 2, None, Fraction(1, WIDE_A))
+    @example(wide(WIDE_A, WIDE_A), wide(WIDE_B, WIDE_B), 3, 0, Fraction(-1, WIDE_B))
+    @example(wide(WIDE_A, WIDE_B), -wide(WIDE_A, WIDE_B), 1, None, Fraction(WIDE_B, WIDE_A))
     def test_arithmetic(self, p, q, power, cap, scalar):
         for result in [p + q, p - q, -p, p * q, p ** power, p.truncated(cap),
                        p + scalar, scalar - p, scalar * p, p * Fraction(1, 2)]:
@@ -106,6 +126,21 @@ class TestTrustedResultsAreCanonical:
         assert bool(constant(value)) == bool(value)
         assert bool(p) == (not p.is_zero())
         assert str(p) == render(p)
+
+    def test_wide_coprime_denominators(self):
+        a, b = constant(Fraction(1, WIDE_A)), constant(Fraction(1, WIDE_B))
+        d, x1 = atom(DEGREE), atom(xi_symbol((1,)))
+        both = a * d + b * x1
+        total, product = a + b, (a * d) * (b * x1)
+        for result in [both, total, product, both - both, both * both, both / b]:
+            assert_canonical(result)
+        assert dict(both.items()) == {((DEGREE, 1),): Fraction(1, WIDE_A),
+                                      ((xi_symbol((1,)), 1),): Fraction(1, WIDE_B)}
+        assert total == Fraction(WIDE_A + WIDE_B, WIDE_A * WIDE_B)
+        assert product.coefficient(((DEGREE, 1), (xi_symbol((1,)), 1))) == Fraction(
+            1, WIDE_A * WIDE_B)
+        assert (both - both).is_zero() and (both - both) == 0
+        assert both / b == WIDE_B * a * d + x1
 
     def test_integral_fractions_are_stored_as_int(self):
         half = constant(Fraction(1, 2))

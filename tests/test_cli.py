@@ -278,6 +278,16 @@ def test_numeric_json_matches_golden(preset, command, golden):
     assert out == (GOLDEN / golden).read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("kind", ["surface", "threefold"])
+def test_symbolic_json_matches_golden(kind):
+    """`charclass <kind> --json` on the symbolic table, byte for byte: the only
+    golden that pins how fractional coefficients print in a character table."""
+    doc = json.dumps({"kind": kind, "chern_data": "symbolic"})
+    code, out, _ = run([kind, "--json"], stdin_text=doc)
+    assert code == 0
+    assert out == (GOLDEN / f"symbolic_{kind}.json").read_text(encoding="utf-8")
+
+
 class TestDerive:
     def test_triple_point_polynomial(self):
         code, out, _ = run(["derive", "--kind", "surface", "--character", "T", "--json"])

@@ -4,7 +4,9 @@ Every variable becomes a sympy symbol; weights are carried by an extra
 grading symbol ``t`` (a variable of weight w enters as ``x * t**w``), and
 truncation at a cap drops every power of ``t`` above it.  Products, sums,
 substitutions and series inverses from the engine must agree with sympy's
-expansions.  Skipped when sympy is not installed.
+expansions; so must sums, products, substitutions and quotients by a
+rational of polynomials whose coefficients have denominators up to 10^12.
+Skipped when sympy is not installed.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from charclass.algebra import (  # noqa: E402
     GradedPolynomial,
     SOURCE_HYPERPLANE_VAR,
     atom,
+    constant,
     invert_unit_series,
     source_chern,
     substitute,
@@ -42,7 +45,7 @@ ORACLE = settings(max_examples=60, deadline=None,
                   suppress_health_check=[HealthCheck.too_slow])
 
 
-def poly_strategy(variables, kappa=None, max_terms=4):
+def poly_strategy(variables, kappa=None, max_terms=4, coefficients=coefficients):
     @st.composite
     def build(draw):
         terms = []
@@ -58,6 +61,16 @@ def poly_strategy(variables, kappa=None, max_terms=4):
 
 abstract_polys = poly_strategy(ABSTRACT_VARS + SCALAR_VARS, kappa=KAPPA)
 source_polys = poly_strategy(SOURCE_VARS + SCALAR_VARS, max_terms=3)
+
+
+# numerators and denominators up to 10^12: many machine words once multiplied out
+wide = st.builds(Fraction, st.integers(-10 ** 12, 10 ** 12), st.integers(1, 10 ** 12))
+wide_abstract_polys = poly_strategy(ABSTRACT_VARS + SCALAR_VARS, kappa=KAPPA, coefficients=wide)
+wide_source_polys = poly_strategy(SOURCE_VARS + SCALAR_VARS, max_terms=3, coefficients=wide)
+
+
+def rational(value: Fraction) -> "sympy.Rational":
+    return sympy.Rational(value.numerator, value.denominator)
 
 
 def graded(p: GradedPolynomial) -> "sympy.Expr":
@@ -134,6 +147,44 @@ class TestAgainstSympy:
         assert all(
             sum(var_weight(v) * e for v, e in mono) <= cap for mono, _ in inverse.items()
         )
+
+
+class TestWideDenominatorsAgainstSympy:
+    @ORACLE
+    @given(wide_abstract_polys, wide_abstract_polys)
+    def test_product(self, p, q):
+        want = truncate(graded(p) * graded(q), join_cap(p.cap, q.cap))
+        assert plain(p * q) == want
+
+    @ORACLE
+    @given(wide_abstract_polys, wide_abstract_polys, wide)
+    def test_sum_and_difference(self, p, q, scalar):
+        cap = join_cap(p.cap, q.cap)
+        assert plain(p + q) == truncate(graded(p) + graded(q), cap)
+        assert plain(p - q) == truncate(graded(p) - graded(q), cap)
+        assert plain(scalar * q - p) == truncate(rational(scalar) * graded(q) - graded(p), cap)
+
+    @ORACLE
+    @given(wide_abstract_polys, st.lists(wide_source_polys, min_size=7, max_size=7), caps)
+    def test_substitute(self, p, images, cap):
+        assignment = dict(zip(ABSTRACT_VARS, images))
+        got = substitute(p, assignment, cap=cap)
+        if cap is None:
+            cap = join_cap(p.cap, *(img.cap for img in images))
+        replaced = plain(p).subs(
+            {SYMBOLS[v]: graded(img) for v, img in assignment.items()}, simultaneous=True
+        )
+        assert plain(got) == truncate(replaced, cap)
+
+    @ORACLE
+    @given(st.one_of(abstract_polys, wide_abstract_polys),
+           st.one_of(coefficients, wide).filter(bool))
+    def test_division_by_a_rational(self, p, k):
+        want = truncate(graded(p) / rational(k), p.cap)
+        assert plain(p / k) == want
+        assert plain(p / constant(k)) == want
+        if k.denominator == 1:
+            assert plain(p / k.numerator) == want
 
 
 def test_oracle_sees_a_wrong_product():
