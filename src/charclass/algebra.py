@@ -617,7 +617,9 @@ def _build(
     else:
         acc = {m: c for m, c in terms.items() if c and m & _MASK <= cap}
     if den != 1:
-        common = gcd(den, *acc.values())
+        # reduce, not gcd(*...): argument tuples built per call pile up in the
+        # interpreter's tuple free lists and raise the process's peak memory
+        common = reduce(gcd, acc.values(), den)
         if common != 1:
             den //= common
             acc = {m: c // common for m, c in acc.items()}
@@ -740,7 +742,7 @@ def gysin_map(
         kappa = _join_kappa(kappa, value.kappa)
         hits.append((coeff, value, scalar + k * target))
     # accumulate over the lcm of the image denominators
-    den = lcm(*(value._den for _, value, _ in hits))
+    den = reduce(lcm, (value._den for _, value, _ in hits), 1)
     acc: dict = {}
     get = acc.get
     for coeff, value, shift in hits:
@@ -828,7 +830,7 @@ def substitute(
             den *= power._den
         hits.append((coeff, {0: 1} if term is None else term, den))
     # accumulate over the lcm of the term denominators
-    common = lcm(*(den for _, _, den in hits))
+    common = reduce(lcm, (den for _, _, den in hits), 1)
     acc: dict = {}
     get = acc.get
     for coeff, term, den in hits:
