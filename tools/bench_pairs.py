@@ -4,17 +4,22 @@
         --claim symbolic-families:ops_per_s:1.2 > BENCH_<n>.json
 
 PARENT and CHANGE are source checkouts (each with ``perfbench/run.py``).  For
-every workload and seed, one pair runs ``perfbench/run.py`` on both checkouts
-back to back; which side runs first flips from pair to pair.  Every run starts
-in a fresh copy of its tree with ``PYTHONDONTWRITEBYTECODE=1``, so both sides
-compile their sources in every process, as a fresh checkout does.
+every workload of ``BENCHMARK.json`` and every seed (default 1 to 10), one pair
+runs ``perfbench/run.py`` on both checkouts back to back; which side runs first
+flips from pair to pair.  Every run starts in a fresh copy of its tree with
+``PYTHONDONTWRITEBYTECODE=1``, so both sides compile their sources in every
+process, as a fresh checkout does.
 
 The JSON printed has every run (``pairs``) and, per workload and end-to-end
 metric of ``BENCHMARK.json``: inclusive-method quartiles of each side, the
-ratio of the medians, the pairs the change won or tied, and the worsening of
-the change's median against the metric's bound.  ``--claim`` adds a verdict:
-the change's median at least the given factor better, better on at least nine
-in ten pairs, and a median gap wider than the parent's interquartile range.
+ratio of the medians, the pairs the change won (out of every pair run, so a
+pair with a failed run is not a win) or tied, and the worsening of the change's
+median against the metric's bound.  A metric whose parent interquartile range
+is wider than its bound, relative to the parent's median, reads "unresolved"
+unless every run of the change is better than every run of the parent.
+``--claim`` adds a verdict: the change's median at least the given factor
+better, better on at least nine in ten pairs run, and a median gap wider than
+the parent's interquartile range.
 The exit status is 1 when any run fails or reports a wrong op.  Standard
 library only; progress goes to standard error.
 """
@@ -57,9 +62,9 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     lines = proc.stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1])
-    except (IndexError, ValueError):
+        metrics = {name: m["value"] for name, m in result.pop("metrics").items()}
+    except (IndexError, ValueError, TypeError, KeyError, AttributeError):
         return {"correct": False, "exit": proc.returncode, "error": proc.stderr.strip()[-500:]}
-    metrics = {name: m["value"] for name, m in result.pop("metrics").items()}
     return {**metrics, **result, "exit": proc.returncode}
 
 
@@ -70,27 +75,36 @@ def quartiles(values: list) -> dict:
 
 
 def summarise(pairs: list, metric: dict) -> dict | None:
-    name, higher = metric["name"], metric["better"] == "higher"
+    name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
     done = [p for p in pairs if name in p["parent"] and name in p["change"]]
     if not done:
         return None
     parent = quartiles([p["parent"][name] for p in done])
     change = quartiles([p["change"][name] for p in done])
     ratio = change["median"] / parent["median"] if parent["median"] else None
-    wins = sum((p["change"][name] > p["parent"][name]) == higher
-               and p["change"][name] != p["parent"][name] for p in done)
+    wins = sum(sign * (p["change"][name] - p["parent"][name]) > 0 for p in done)
     ties = sum(p["change"][name] == p["parent"][name] for p in done)
-    worsening = None if ratio is None else round(1 - ratio if higher else ratio - 1, 4)
+    worsening = None if ratio is None else round(1 - ratio if sign > 0 else ratio - 1, 4)
+    spread = (parent["q3"] - parent["q1"]) / parent["median"] if parent["median"] else 0.0
+    all_better = (min(sign * p["change"][name] for p in done)
+                  > max(sign * p["parent"][name] for p in done))
+    if spread > metric["bound"] and not all_better:
+        status = "unresolved"
+    else:
+        status = "within bound" if worsening is None or worsening <= metric["bound"] else "worse"
     return {"parent": parent, "change": change, "change_over_parent": ratio,
-            "change_wins": f"{wins}/{len(done)}", "ties": ties,
-            "worsening_vs_bound": {"worsening": worsening, "bound": metric["bound"]}}
+            "change_wins": f"{wins}/{len(pairs)}", "ties": ties,
+            "worsening_vs_bound": {"worsening": worsening, "bound": metric["bound"],
+                                   "parent_spread": round(spread, 4), "status": status}}
 
 
 def claim_verdict(summary: dict, spec: list, text: str) -> dict:
     workload, name, factor = text.split(":")
     factor = float(factor)
     higher = next(m for m in spec if m["name"] == name)["better"] == "higher"
-    row = summary[workload][name]
+    row = summary[workload].get(name)
+    if row is None:
+        return {"workload": workload, "metric": name, "met": False, "error": "no completed pair"}
     parent, change = row["parent"], row["change"]
     gain = change["median"] / parent["median"] if higher else parent["median"] / change["median"]
     wins, pairs = (int(x) for x in row["change_wins"].split("/"))
@@ -113,17 +127,15 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--workloads", nargs="+")
-    parser.add_argument("--pairs", type=int, default=5)
-    parser.add_argument("--seeds", type=int, nargs="+", help="one per pair (default 1..pairs)")
+    parser.add_argument("--seeds", type=int, nargs="+", default=list(range(1, 11)),
+                        help="one pair per seed")
     parser.add_argument("--seconds", type=float, default=35)
     parser.add_argument("--claim", help="WORKLOAD:METRIC:FACTOR, e.g. numeric-batch:ops_per_s:1.2")
     parser.add_argument("--about", default="")
     args = parser.parse_args(argv)
 
     spec = json.loads((args.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
-    workloads = args.workloads or [w["name"] for w in spec["workloads"]]
-    seeds = args.seeds or list(range(1, args.pairs + 1))
+    workloads = [w["name"] for w in spec["workloads"]]
     doc = {
         "about": args.about,
         "command": f"python3 perfbench/run.py --workload <workload> --seed <seed> "
@@ -131,13 +143,13 @@ def main(argv=None) -> int:
         "parent_commit": commit_of(args.parent), "change_commit": commit_of(args.change),
         "host": {"python": platform.python_version(), "machine": platform.machine(),
                  "cpus": os.cpu_count(), "system": platform.system()},
-        "seeds": {w: seeds for w in workloads},
+        "seeds": {w: args.seeds for w in workloads},
         "summary": {}, "pairs": {},
     }
     ok = True
     for workload in workloads:
         pairs = doc["pairs"][workload] = []
-        for i, seed in enumerate(seeds):
+        for i, seed in enumerate(args.seeds):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             pair = {"pair": i, "seed": seed, "first": order[0]}
             for side in order:
