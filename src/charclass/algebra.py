@@ -555,8 +555,6 @@ class GradedPolynomial:
         power = int(power)
         if power < 0:
             raise ValueError("negative powers are not defined here")
-        if self.is_constant():
-            return _scalar(self._terms.get(0, 0) ** power, self._den ** power, self.cap)
         if power and len(self._terms) == 1:  # a single term: scale its exponents
             (mono, coeff), = self._terms.items()
             top = max(mono & _MASK, mono >> _FIELD & _MASK, *(e for _, e in _decode(mono)))
@@ -876,9 +874,9 @@ _VAR_RE = re.compile(r"^([a-z]+?)(\d*)(?:\^(\d+))?$")
 _CHUNK_RE = re.compile(r"([+-])\s*([^+-]+)")
 
 
-def _var_from_token(name: str, digits: str, chern: VarKind) -> Var:
+def _var_from_token(name: str, digits: str) -> Var:
     if name == "c" and digits:
-        return Var(chern, (int(digits),))
+        return Var(VarKind.QUOTIENT_CHERN, (int(digits),))
     if name == "s":
         return landweber_novikov(int(ch) for ch in digits or "0")
     if name == "xi" and digits:
@@ -895,15 +893,12 @@ def _var_from_token(name: str, digits: str, chern: VarKind) -> Var:
 def parse(
     text: str,
     *,
-    chern: VarKind = VarKind.QUOTIENT_CHERN,
     cap: int | None = None,
     kappa: int | None = None,
 ) -> GradedPolynomial:
     """Parse the canonical rendering back into a polynomial.
 
-    ``chern`` selects which family plain ``c<k>`` tokens belong to; table
-    entries use quotient classes, source-manifold expressions use
-    ``VarKind.SOURCE_CHERN``.
+    Plain ``c<k>`` tokens are quotient Chern classes, as in the catalogue.
     """
     s = text.strip()
     if s == "0":
@@ -932,7 +927,7 @@ def parse(
             if not m:
                 raise ValueError(f"bad factor {tok!r} in {text!r}")
             name, digits, exp = m.groups()
-            factors.append((_var_from_token(name, digits, chern), int(exp or 1)))
+            factors.append((_var_from_token(name, digits), int(exp or 1)))
         terms.append((factors, coeff))
     if "".join(covered) != compact:
         raise ValueError(f"could not parse {text!r}")

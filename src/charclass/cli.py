@@ -18,7 +18,9 @@ integer of more than ``MAX_RATIONAL_DIGITS`` digits, or nesting too deep for
 the parser is an input error.
 
 Exit codes: 0 success, 1 verification failure, 2 input error, 3 internal
-error (an engine fault, never caused by the input).
+error.  Input faults become :class:`InputError` where the input is read (the
+document, its file, the preset name and degree); any other exception is the
+engine's and prints as ``internal error: <type>: <message>``.
 
 Run as ``charclass``, ``python -m charclass`` or ``python -m charclass.cli``.
 """
@@ -33,13 +35,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from . import presets, surface, tables, threefold
-from .algebra import (
-    ExponentOverflowError,
-    IncompleteSubstitutionError,
-    NonUnitSeriesError,
-    RingMismatchError,
-)
-from .context import MapContext, SYMBOLIC, TruncationError, make_context
+from .context import MapContext, SYMBOLIC, make_context
 from .report import Check, all_passed
 
 SURFACE_KEYS = ["d", "xi1", "xi2", "xi01"]
@@ -196,10 +192,13 @@ def _print_result(doc, characters: dict, checks: list, as_json: bool, out) -> No
 
 
 def _read_input(args, stdin) -> str:
-    if args.input:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            return fh.read()
-    return stdin.read()
+    try:
+        if args.input:
+            with open(args.input, "r", encoding="utf-8") as fh:
+                return fh.read()
+        return stdin.read()
+    except UnicodeDecodeError as exc:
+        raise InputError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -388,19 +387,18 @@ def run_command(argv: Sequence[str] | None = None, stdin=None, stdout=None, stde
                     suffix = " --degree D" if needs_degree else ""
                     print(f"{name}{suffix}  ({kind})", file=out)
                 return 0
-            document = presets.preset_document(args.name, args.degree)
+            try:
+                document = presets.preset_document(args.name, args.degree)
+            except ValueError as exc:  # an unknown name or a bad --degree
+                raise InputError(str(exc)) from None
             print(json.dumps(document, indent=2), file=out)
             return 0
 
         raise InputError(f"unknown command {args.command!r}")
-    except (RingMismatchError, NonUnitSeriesError, IncompleteSubstitutionError,
-            ExponentOverflowError, TruncationError, tables.TableMissError) as exc:
-        print(f"internal error: {exc}", file=err)
-        return 3
-    except (InputError, ValueError, OSError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=err)
         return 2
-    except Exception as exc:  # any other failure is the engine's, not the input's
+    except Exception as exc:  # every input fault is an InputError by now
         print(f"internal error: {type(exc).__name__}: {exc}", file=err)
         return 3
 

@@ -55,7 +55,7 @@ class TruncationError(ValueError):
 
 def xi_label(index: MultiIndex) -> str:
     """Key naming for the degree table: ``d``, ``xi1``, ``xi01``, ..."""
-    return "d" if not index else f"xi{index_digits(index)}"
+    return var_label(xi_symbol(index))
 
 
 def parse_xi_key(key) -> MultiIndex:
@@ -102,11 +102,11 @@ def quotient_chern_classes(m: int, n: int) -> list:
     return [total.component(k) for k in range(1, m + 1)]
 
 
-def _check_scalar(value: GradedPolynomial, label: str) -> GradedPolynomial:
+def _check_scalar(value: GradedPolynomial, index: MultiIndex) -> GradedPolynomial:
     bad = [v for v in value.variables() if v.kind is not VarKind.XI]
     if bad:
         raise ValueError(
-            f"degree-table value for {label} contains non-scalar variables "
+            f"degree-table value for {xi_label(index)} contains non-scalar variables "
             f"{sorted(var_label(v) for v in bad)}"
         )
     return value
@@ -135,15 +135,15 @@ class MapContext:
         m, n = int(source_dim), int(target_dim)
         if m < 1:
             raise ValueError("source dimension must be >= 1")
-        if n < m:
-            raise ValueError(f"target dimension {n} below source dimension {m}")
+        if n <= m:
+            raise ValueError(f"target dimension {n} must exceed source dimension {m}")
         required = chern_indices(m)
         table = {}
         for key, value in xi.items():
             index = parse_xi_key(key)
             if index in table:
                 raise ValueError(f"duplicate degree-table entry for {xi_label(index)}")
-            table[index] = _check_scalar(lift(value), xi_label(index))
+            table[index] = _check_scalar(lift(value), index)
         missing = [xi_label(i) for i in required if i not in table]
         if missing:
             raise ValueError(f"degree table is missing entries: {', '.join(missing)}")
@@ -289,6 +289,8 @@ class MapContext:
         The degree table is intrinsic to (M, at): the projection takes this
         context's validated table as it is, without checking it again; the
         quotient classes pick up the smaller target exponent automatically.
+        This is the only way to a context with n = m, which the constructor
+        refuses.
         """
         if self.kappa == 0:
             raise ValueError("cannot project: relative codimension would become negative")
@@ -328,9 +330,6 @@ def make_context(source_dim: int, target_dim: int, xi) -> MapContext:
     all downstream results are exact polynomials in ``d`` and the ``xi``
     symbols.
     """
-    m, n = int(source_dim), int(target_dim)
-    if n <= m:
-        raise ValueError(f"target dimension {n} must exceed source dimension {m}")
     if xi == SYMBOLIC:
-        xi = {index: atom(xi_symbol(index)) for index in chern_indices(m)}
-    return MapContext(m, n, xi)
+        xi = {index: atom(xi_symbol(index)) for index in chern_indices(source_dim)}
+    return MapContext(source_dim, target_dim, xi)

@@ -53,12 +53,12 @@ def _xi_from_line_data(
     return table
 
 
-def veronese_xi(source_dim: int, twist: int = 2) -> dict:
-    """Degree table of P^k re-embedded by degree-``twist`` forms."""
+def veronese_xi(source_dim: int) -> dict:
+    """Degree table of P^k re-embedded by quadrics."""
     m = int(source_dim)
     h = atom(SOURCE_HYPERPLANE_VAR, cap=m)
     tangent = (1 + h) ** (m + 1)
-    return _xi_from_line_data(m, tangent, constant(twist), constant(1))
+    return _xi_from_line_data(m, tangent, constant(2), constant(1))
 
 
 def _adjunction(m: int, degree) -> tuple:
@@ -103,12 +103,12 @@ def roman_surface_context() -> MapContext:
     Classically it has three double lines meeting in one triple point and
     six pinch points, which pins every surface character below.
     """
-    return make_context(2, 3, veronese_xi(2, 2))
+    return make_context(2, 3, veronese_xi(2))
 
 
 def veronese_threefold_context() -> MapContext:
     """P^3 by quadrics, projected generically to P^4 (degree-8 image)."""
-    return make_context(3, 4, veronese_xi(3, 2))
+    return make_context(3, 4, veronese_xi(3))
 
 
 def smooth_surface_context(degree=None) -> MapContext:

@@ -10,14 +10,14 @@ table row; the file is the ground truth and is covered by golden tests.
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
-from importlib import resources
 from typing import Iterator
 
 from .algebra import AbstractClass, constant, parse, render
 from .report import Check, identities
 
-_DATA_FILE = "universal_classes.tab"
+_DATA_FILE = os.path.join(os.path.dirname(__file__), "universal_classes.tab")
 _SSM_PREFIX = "sm:"
 
 # Leading-term references for the Euler-characteristic series: either the
@@ -51,7 +51,8 @@ def _parse_line(line: str) -> AbstractClass:
 
 
 def _raw_lines() -> Iterator[str]:
-    text = resources.files(__package__).joinpath(_DATA_FILE).read_text()
+    with open(_DATA_FILE, encoding="utf-8") as fh:
+        text = fh.read()
     for line in text.splitlines():
         line = line.strip()
         if line and not line.startswith("#"):

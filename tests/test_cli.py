@@ -24,7 +24,14 @@ from charclass.algebra import (
     atom,
     source_chern,
 )
-from charclass.cli import MAX_RATIONAL_DIGITS, InputError, parse_input, run_command
+from charclass.cli import (
+    MAX_RATIONAL_DIGITS,
+    SURFACE_PROVENANCE,
+    THREEFOLD_PROVENANCE,
+    InputError,
+    parse_input,
+    run_command,
+)
 from charclass.context import SYMBOLIC, TruncationError, make_context
 from charclass.presets import MAX_DEGREE_DIGITS
 from charclass.tables import TableMissError
@@ -202,6 +209,20 @@ class TestPipelines:
         code, out, _ = run(["surface", "--input", str(path)])
         assert code == 0
 
+    def test_undecodable_input_file_is_2(self, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_bytes(b"\xff\xfe{")
+        code, out, err = run(["surface", "--input", str(path)])
+        assert (code, out) == (2, "")
+        assert err == ("error: 'utf-8' codec can't decode byte 0xff in position 0: "
+                       "invalid start byte\n")
+
+    def test_missing_input_file_is_2(self, tmp_path):
+        path = tmp_path / "absent.json"
+        code, out, err = run(["surface", "--input", str(path)])
+        assert (code, out) == (2, "")
+        assert err == f"error: [Errno 2] No such file or directory: {str(path)!r}\n"
+
     def test_kind_command_mismatch(self):
         code, _, err = run(["threefold"], stdin_text=ROMAN_DOC)
         assert code == 2 and "kind" in err
@@ -318,6 +339,11 @@ class TestDerive:
         code, _, err = run(["derive", "--kind", "surface", "--character", "nope"])
         assert code == 2 and "unknown character" in err
 
+    def test_every_character_has_provenance(self):
+        # a character without provenance would make `derive` fail with a KeyError
+        assert SURFACE_PROVENANCE.keys() == set(surface.SurfaceCharacters._fields)
+        assert THREEFOLD_PROVENANCE.keys() == set(threefold.ThreefoldCharacters._fields)
+
 
 class TestPreset:
     def test_listing(self):
@@ -353,6 +379,11 @@ class TestPreset:
     def test_unknown(self):
         code, _, err = run(["preset", "moebius"])
         assert code == 2 and "unknown preset" in err
+
+    def test_degree_for_a_fixed_preset_is_2(self):
+        code, out, err = run(["preset", "roman-surface", "--degree", "3"])
+        assert (code, out) == (2, "")
+        assert err == "error: preset 'roman-surface' does not take a degree\n"
 
 
 class TestExitCodes:
@@ -392,7 +423,8 @@ class TestExitCodes:
                             lambda ctx: ctx.integrate(atom(TARGET_HYPERPLANE_VAR)))
         code, _, err = run(["surface"], stdin_text=ROMAN_DOC)
         assert code == 3
-        assert err == "internal error: variable a does not belong to this ring\n"
+        assert err == ("internal error: RingMismatchError: "
+                       "variable a does not belong to this ring\n")
 
     def test_chern_monomial_missing_from_a_gysin_table_is_3(self, monkeypatch):
         # a push table without the image a class needs is an engine bug
@@ -400,9 +432,11 @@ class TestExitCodes:
                             lambda ctx: _gysin_push(atom(source_chern(1)), {}, 3))
         code, _, err = run(["surface"], stdin_text=ROMAN_DOC)
         assert code == 3
-        assert err == "internal error: no pushforward image for Chern monomial (1,)\n"
+        assert err == ("internal error: RingMismatchError: "
+                       "no pushforward image for Chern monomial (1,)\n")
 
-    @pytest.mark.parametrize("fault", [KeyError, TypeError, ZeroDivisionError, AttributeError])
+    @pytest.mark.parametrize("fault", [KeyError, TypeError, ValueError, ZeroDivisionError,
+                                       AttributeError])
     def test_unexpected_exception_is_3(self, monkeypatch, fault):
         # a bug of any other type is still the engine's, never a verification failure
         def broken(ctx):
@@ -467,8 +501,8 @@ names = ["c1", "c2", "c3", "s0", "s1", "s2", "s01", "s3", "s11", "s001", "at", "
          "d", "xi1", "xi2", "xi01", "xi3", "xi11", "xi001"]
 for name in reversed(names):
     algebra.parse(name, kappa=1)
-for name in ["c3", "c2", "c1"]:
-    algebra.parse(name, chern=algebra.VarKind.SOURCE_CHERN)
+for k in [3, 2, 1]:
+    algebra.atom(algebra.source_chern(k))
 argv = sys.argv[1:]
 stdin = None
 if argv[0] == "pipe":

@@ -31,6 +31,7 @@ from charclass.algebra import (
 )
 from charclass.context import (
     SYMBOLIC,
+    MapContext,
     TruncationError,
     make_context,
     quotient_chern_classes,
@@ -86,6 +87,15 @@ class TestMakeContext:
             make_context(3, 3, SYMBOLIC)
         with pytest.raises(ValueError):
             make_context(3, 2, SYMBOLIC)
+
+    def test_constructor_refuses_equal_dimensions(self):
+        # kappa-0 contexts come only from project()
+        with pytest.raises(ValueError, match="must exceed"):
+            MapContext(2, 2, ROMAN)
+
+    def test_non_scalar_entry_rejected(self):
+        with pytest.raises(ValueError, match=r"value for xi1 contains non-scalar variables \['c1'\]"):
+            make_context(2, 3, dict(ROMAN, xi1=C1))
 
     def test_extra_entry_rejected(self):
         with pytest.raises(ValueError, match="beyond weight"):

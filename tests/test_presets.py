@@ -20,13 +20,13 @@ class TestVeroneseTables:
     def test_plane_conics(self):
         # tangent classes of the plane are 3h, 3h^2; pullback class 2h;
         # degrees 2^2, 3*2, 9, 3
-        xi = veronese_xi(2, 2)
+        xi = veronese_xi(2)
         assert {k: str(v) for k, v in xi.items()} == {
             "d": "4", "xi1": "6", "xi01": "3", "xi2": "9",
         }
 
     def test_space_quadrics(self):
-        xi = veronese_xi(3, 2)
+        xi = veronese_xi(3)
         assert {k: str(v) for k, v in xi.items()} == {
             "d": "8", "xi1": "16", "xi01": "12", "xi2": "32",
             "xi001": "4", "xi11": "24", "xi3": "64",
