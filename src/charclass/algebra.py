@@ -491,10 +491,6 @@ class GradedPolynomial:
         else:
             return NotImplemented
         terms, den = self._terms, self._den
-        if (len(terms) < 2 and (not terms or 0 in terms)
-                and len(right) < 2 and (not right or 0 in right)):
-            value, k = terms.get(0, 0) * rden, right.get(0, 0) * den
-            return _scalar(value - k if subtract else value + k, den * rden, cap)
         kappa = _join_kappa(self.kappa, kappa)
         scale = -1 if subtract else 1
         if den == rden:
@@ -527,14 +523,10 @@ class GradedPolynomial:
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             return _times(self, other.numerator, other.denominator, self.cap, True)
-        left, right = self._terms, other._terms
         cap = _join_cap(self.cap, other.cap)
-        if len(right) < 2 and (not right or 0 in right):  # scaling by a constant
-            return _times(self, right.get(0, 0), other._den, cap, self.cap == cap)
-        if len(left) < 2 and (not left or 0 in left):
-            return _times(other, left.get(0, 0), self._den, cap, other.cap == cap)
         kappa = _join_kappa(self.kappa, other.kappa)
-        return _build(_product(left, right, cap, kappa), self._den * other._den, cap, kappa, True)
+        return _build(_product(self._terms, other._terms, cap, kappa),
+                      self._den * other._den, cap, kappa, True)
 
     __rmul__ = __mul__
 
@@ -561,7 +553,7 @@ class GradedPolynomial:
             if top * power > EXPONENT_LIMIT:
                 raise _overflow(f"power {power} of a monomial with exponent or weight {top}")
             return _build({mono * power: coeff ** power}, self._den ** power, self.cap, self.kappa)
-        result = _scalar(1, 1, self.cap)
+        result = _build({0: 1}, 1, self.cap)
         base = self
         while power:
             if power & 1:
@@ -605,10 +597,11 @@ def _build(
     ``terms`` maps packed monomials to int numerators over the positive int
     ``den``.  Zero numerators are dropped, terms above ``cap`` dropped (unless
     ``capped`` says none are), the fraction brought to lowest terms and kappa
-    normalised as in the public constructor.
+    normalised as in the public constructor.  The caller hands ``terms`` over:
+    a dict with nothing to drop becomes the polynomial's own, uncopied.
     """
     if capped or cap is None:
-        acc = {m: c for m, c in terms.items() if c}
+        acc = terms if 0 not in terms.values() else {m: c for m, c in terms.items() if c}
     elif kappa:
         acc = {m: c for m, c in terms.items()
                if c and (m & _MASK) + kappa * (m >> _FIELD & _MASK) <= cap}
@@ -632,26 +625,10 @@ def _build(
     return p
 
 
-def _scalar(num: int, den: int, cap: int | None) -> GradedPolynomial:
-    """The constant polynomial num/den, for ints with ``den`` positive."""
-    if den != 1:
-        common = gcd(num, den)
-        num, den = num // common, den // common
-    p = _new(GradedPolynomial)
-    _set_terms(p, {0: num} if num else {})
-    _set_den(p, den)
-    _set_cap(p, cap)
-    _set_kappa(p, None)
-    return p
-
-
 def _times(p: GradedPolynomial, num: int, den: int, cap: int | None,
            capped: bool) -> GradedPolynomial:
     """p * num/den, for ints with ``den`` positive, capped at ``cap``."""
-    terms = p._terms
-    if len(terms) < 2 and (not terms or 0 in terms):
-        return _scalar(terms.get(0, 0) * num, p._den * den, cap)
-    return _build({m: c * num for m, c in terms.items()}, p._den * den, cap, p.kappa, capped)
+    return _build({m: c * num for m, c in p._terms.items()}, p._den * den, cap, p.kappa, capped)
 
 
 def constant(value: Coefficient) -> GradedPolynomial:

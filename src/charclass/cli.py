@@ -18,9 +18,11 @@ integer of more than ``MAX_RATIONAL_DIGITS`` digits, or nesting too deep for
 the parser is an input error.
 
 Exit codes: 0 success, 1 verification failure, 2 input error, 3 internal
-error.  Input faults become :class:`InputError` where the input is read (the
-document, its file, the preset name and degree); any other exception is the
-engine's and prints as ``internal error: <type>: <message>``.
+error, 141 when the reader of standard output has gone (as a shell reports
+a writer killed by SIGPIPE).  Input faults become :class:`InputError` where
+the input is read (the document, its file, the preset name and degree, the
+character ``derive`` names) before any engine work; any other exception is
+the engine's and prints as ``internal error: <type>: <message>``.
 
 Run as ``charclass``, ``python -m charclass`` or ``python -m charclass.cli``.
 """
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -197,7 +200,7 @@ def _read_input(args, stdin) -> str:
             with open(args.input, "r", encoding="utf-8") as fh:
                 return fh.read()
         return stdin.read()
-    except UnicodeDecodeError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(str(exc)) from None
 
 
@@ -260,19 +263,21 @@ THREEFOLD_PROVENANCE = {
 
 def _derive(kind: str, character: str):
     if kind == "surface":
-        chars = surface.surface_characters(make_context(2, 3, SYMBOLIC))._asdict()
-        provenance = SURFACE_PROVENANCE
+        names, provenance = surface.SurfaceCharacters._fields, SURFACE_PROVENANCE
         # the degree is mu0 among the surface characters but d in the 3-fold's
         character = "mu0" if character == "d" else character
     else:
-        chars = threefold.threefold_characters(make_context(3, 4, SYMBOLIC))._asdict()
-        provenance = THREEFOLD_PROVENANCE
-    if character not in chars:
+        names, provenance = threefold.ThreefoldCharacters._fields, THREEFOLD_PROVENANCE
+    if character not in names:
         raise InputError(
             f"unknown character {character!r} for kind {kind!r}; "
-            f"choose from {', '.join(chars)}"
+            f"choose from {', '.join(names)}"
         )
-    return chars[character], provenance[character]
+    if kind == "surface":
+        chars = surface.surface_characters(make_context(2, 3, SYMBOLIC))
+    else:
+        chars = threefold.threefold_characters(make_context(3, 4, SYMBOLIC))
+    return getattr(chars, character), provenance[character]
 
 
 # ---------------------------------------------------------------------------
@@ -388,23 +393,33 @@ def run_command(argv: Sequence[str] | None = None, stdin=None, stdout=None, stde
                     print(f"{name}{suffix}  ({kind})", file=out)
                 return 0
             try:
-                document = presets.preset_document(args.name, args.degree)
+                presets.check_preset(args.name, args.degree, document=True)
             except ValueError as exc:  # an unknown name or a bad --degree
                 raise InputError(str(exc)) from None
-            print(json.dumps(document, indent=2), file=out)
+            print(json.dumps(presets.preset_document(args.name, args.degree), indent=2), file=out)
             return 0
 
         raise InputError(f"unknown command {args.command!r}")
-    except (InputError, OSError) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=err)
         return 2
+    except BrokenPipeError:  # the reader of stdout has gone; main() ends quietly
+        raise
     except Exception as exc:  # every input fault is an InputError by now
         print(f"internal error: {type(exc).__name__}: {exc}", file=err)
         return 3
 
 
 def main() -> None:
-    raise SystemExit(run_command())
+    try:
+        code = run_command()
+        sys.stdout.flush()  # a closed reader shows here, not at shutdown
+    except BrokenPipeError:
+        # as the Python docs' "Note on SIGPIPE" advises: point stdout at
+        # devnull so the flush at shutdown stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -29,7 +29,6 @@ from .algebra import (
     index_weight,
     invert_unit_series,
     lift,
-    source_chern,
 )
 from .context import MapContext, Scalar, make_context, xi_label
 
@@ -81,22 +80,6 @@ def hypersurface_xi(source_dim: int, degree=None) -> dict:
     return _xi_from_line_data(m, tangent, constant(1), d)
 
 
-def hypersurface_tangent_images(source_dim: int, degree=None) -> dict:
-    """Substitution sending each c_k(TM) to its adjunction value on the h-line.
-
-    Smooth hypersurfaces have c(TM) = (1+h)^(m+2)/(1+dh) with the hyperplane
-    class restricting to itself, so every source Chern class is a multiple of
-    a power of ``at``.  Applying this map to an evaluated multiple-point
-    class exhibits its identical vanishing on embeddings.
-    """
-    m = int(source_dim)
-    _, h, tangent = _adjunction(m, degree)
-    gammas = [hyperplane_coefficient(tangent, SOURCE_HYPERPLANE_VAR, k) for k in range(m + 1)]
-    images = {source_chern(k): gammas[k] * h ** k for k in range(1, m + 1)}
-    images[SOURCE_HYPERPLANE_VAR] = h
-    return images
-
-
 def roman_surface_context() -> MapContext:
     """The Steiner quartic: P^2 by conics, projected to 3-space.
 
@@ -140,26 +123,37 @@ def preset_names() -> list:
     return sorted(PRESETS)
 
 
-def preset_context(name: str, degree=None):
-    """Instantiate a preset; returns (kind, context)."""
+def check_preset(name: str, degree=None, document: bool = False) -> tuple:
+    """The (kind, builder, needs_degree) row of a preset, after the checks
+    that build nothing: the name, the degree's range, a degree given to a
+    preset that takes none and, when a ``document`` is asked for, a smooth
+    preset without a degree.  Each failure raises :class:`ValueError`.
+    """
     try:
         kind, builder, needs_degree = PRESETS[name]
     except KeyError:
         raise ValueError(f"unknown preset {name!r}; choose from {', '.join(preset_names())}") from None
-    if needs_degree:
-        if degree is not None and not 1 <= degree < 10 ** MAX_DEGREE_DIGITS:
-            raise ValueError(f"--degree must be a positive integer of at most {MAX_DEGREE_DIGITS} digits")
-        return kind, builder(degree)
-    if degree is not None:
-        raise ValueError(f"preset {name!r} does not take a degree")
-    return kind, builder()
+    if not needs_degree:
+        if degree is not None:
+            raise ValueError(f"preset {name!r} does not take a degree")
+    elif degree is None:
+        if document:
+            raise ValueError(f"preset {name!r} needs --degree")
+    elif not 1 <= degree < 10 ** MAX_DEGREE_DIGITS:
+        raise ValueError(f"--degree must be a positive integer of at most {MAX_DEGREE_DIGITS} digits")
+    return kind, builder, needs_degree
+
+
+def preset_context(name: str, degree=None):
+    """Instantiate a preset; returns (kind, context)."""
+    kind, builder, needs_degree = check_preset(name, degree)
+    return kind, builder(degree) if needs_degree else builder()
 
 
 def preset_document(name: str, degree=None) -> dict:
     """Preset as an input document (numeric only, rationals as strings)."""
+    check_preset(name, degree, document=True)
     kind, ctx = preset_context(name, degree)
-    if not ctx.is_numeric():
-        raise ValueError(f"preset {name!r} needs --degree")
     data = {
         xi_label(index): str(value)
         for index, value in sorted(ctx.xi.items(), key=lambda kv: (len(kv[0]), kv[0]))

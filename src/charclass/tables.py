@@ -82,8 +82,9 @@ def _registry() -> dict:
 
 def thom_polynomial(name: str, kappa: int) -> AbstractClass:
     """The exact locus class for a singularity type at the given kappa."""
+    registry = _registry()  # a fault while loading is not a miss
     try:
-        return _registry()[(name, kappa)]
+        return registry[(name, kappa)]
     except KeyError:
         raise TableMissError(f"no locus class for {name!r} at kappa={kappa}") from None
 

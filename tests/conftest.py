@@ -13,11 +13,13 @@ from charclass.algebra import (
     TARGET_HYPERPLANE_VAR,
     atom,
     chern_indices,
+    hyperplane_coefficient,
     landweber_novikov,
     quotient_chern,
     source_chern,
 )
 from charclass.context import MapContext, make_context, xi_label
+from charclass.presets import _adjunction
 
 
 def random_fraction(rng: random.Random, span: int = 6) -> Fraction:
@@ -96,3 +98,19 @@ def non_integral_tables(m: int):
     entry = st.builds(Fraction, st.integers(-60, 60), st.integers(2, 9)).filter(
         lambda x: x.denominator != 1)
     return st.fixed_dictionaries({xi_label(i): entry for i in chern_indices(m)})
+
+
+def hypersurface_tangent_images(source_dim: int, degree=None) -> dict:
+    """Substitution sending each c_k(TM) to its adjunction value on the h-line.
+
+    Smooth hypersurfaces have c(TM) = (1+h)^(m+2)/(1+dh) with the hyperplane
+    class restricting to itself, so every source Chern class is a multiple of
+    a power of ``at``.  Applying this map to an evaluated multiple-point
+    class exhibits its identical vanishing on embeddings.
+    """
+    m = int(source_dim)
+    _, h, tangent = _adjunction(m, degree)
+    gammas = [hyperplane_coefficient(tangent, SOURCE_HYPERPLANE_VAR, k) for k in range(m + 1)]
+    images = {source_chern(k): gammas[k] * h ** k for k in range(1, m + 1)}
+    images[SOURCE_HYPERPLANE_VAR] = h
+    return images

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import importlib.util
+import json
 from pathlib import Path
+
+import pytest
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
 spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
@@ -85,3 +88,63 @@ def test_fresh_copies_leave_caches_and_old_output_behind():
     names = [".git", "__pycache__", "out", "src", ".hypothesis"]
     assert bench_pairs.skip("/x/perfbench", names) == {".git", "__pycache__", "out", ".hypothesis"}
     assert bench_pairs.skip("/x/src", names) == {".git", "__pycache__", ".hypothesis"}
+
+
+FAKE_RUN = """
+import json, sys
+args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+with open({log!r}, "a") as fh:
+    fh.write(args["--workload"] + " " + args["--seed"] + "\\n")
+print(json.dumps({{"correct": True, "metrics": {{
+    "ops_per_s": {{"value": 100.0 + int(args["--seed"])}}, "op_p50_ms": {{"value": 10.0}}}}}}))
+"""
+
+
+@pytest.fixture
+def checkout(tmp_path):
+    """A fake checkout with two workloads whose run.py logs every run it makes."""
+    tree = tmp_path / "tree"
+    (tree / "perfbench").mkdir(parents=True)
+    (tree / "perfbench" / "run.py").write_text(FAKE_RUN.format(log=str(tmp_path / "runs.log")))
+    (tree / "BENCHMARK.json").write_text(json.dumps(
+        {"workloads": [{"name": "w1"}, {"name": "w2"}], "end_to_end": [OPS, P50]}))
+    return tree
+
+
+def series(checkout, out, *seeds) -> list:
+    return [str(checkout), str(checkout), "--seeds", *map(str, seeds), "--seconds", "1",
+            "--claim", "w1:ops_per_s:1.0", "--out", str(out)]
+
+
+def test_runs_are_seed_major_and_a_finished_series_is_complete(checkout, tmp_path, capsys):
+    out = tmp_path / "pairs.json"
+    assert bench_pairs.main(series(checkout, out, 1, 2)) == 0
+    runs = (tmp_path / "runs.log").read_text().split("\n")[:-1]
+    assert runs == ["w1 1", "w1 1", "w2 1", "w2 1", "w1 2", "w1 2", "w2 2", "w2 2"]
+    record = json.loads(out.read_text())
+    assert (record["complete"], record["status"]) == (True, "complete")
+    printed = capsys.readouterr()
+    assert record == json.loads(printed.out)
+    assert "the series of 2 pairs should take about" in printed.err
+
+
+def test_a_stopped_series_leaves_a_valid_incomplete_record(checkout, tmp_path, monkeypatch):
+    out, seen = tmp_path / "pairs.json", []
+    real = bench_pairs.run_once
+
+    def stopping(tree, workload, seed, seconds):
+        if seed == 3:
+            raise KeyboardInterrupt
+        if seed == 2 and not seen:  # the record as the first pair left it
+            seen.append(json.loads(out.read_text()))
+        return real(tree, workload, seed, seconds)
+
+    monkeypatch.setattr(bench_pairs, "run_once", stopping)
+    with pytest.raises(KeyboardInterrupt):
+        bench_pairs.main(series(checkout, out, 1, 2, 3))
+    for record, done in [(seen[0], 1), (json.loads(out.read_text()), 2)]:
+        assert (record["complete"], record["status"]) == (False, f"incomplete, {done} of 3 pairs")
+        assert [len(record["pairs"][w]) for w in ("w1", "w2")] == [done, done]
+        assert record["summary"]["w2"]["ops_per_s"]["change"]["median"] == 100 + (done + 1) / 2
+        assert (record["claim"]["met"], record["claim"]["verdict"]) == (False, record["status"])
+    assert not list(tmp_path.glob("*.part"))

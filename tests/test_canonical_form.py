@@ -83,12 +83,26 @@ def wide(a: int, b: int) -> GradedPolynomial:
                              ((xi_symbol((1,)), 1),): Fraction(1, b)}, kappa=1)
 
 
+# c2/3 + 2*s0 + 1 at kappa 1, weights 2, 1 and 0 under cap 3
+HEAVY = GradedPolynomial({((ABSTRACT_VARS[1], 1),): Fraction(1, 3),
+                          ((ABSTRACT_VARS[3], 1),): 2, (): 1}, cap=3, kappa=1)
+# a constant whose cap is below HEAVY's: sums and products drop HEAVY's terms
+SHALLOW = GradedPolynomial({(): Fraction(-5, 2)}, cap=0)
+
+
 class TestTrustedResultsAreCanonical:
     @settings(max_examples=300)
     @given(polys(), polys(), st.integers(0, 3), caps, coefficients)
     @example(wide(WIDE_A, WIDE_B), wide(WIDE_A, WIDE_B), 2, None, Fraction(1, WIDE_A))
     @example(wide(WIDE_A, WIDE_A), wide(WIDE_B, WIDE_B), 3, 0, Fraction(-1, WIDE_B))
     @example(wide(WIDE_A, WIDE_B), -wide(WIDE_A, WIDE_B), 1, None, Fraction(WIDE_B, WIDE_A))
+    # a constant on either side: zero, nonzero, and capped below the other operand
+    @example(GradedPolynomial(), wide(WIDE_A, WIDE_B), 2, None, Fraction(1, WIDE_A))
+    @example(wide(WIDE_A, WIDE_B), GradedPolynomial(), 0, 1, 0)
+    @example(constant(Fraction(3, WIDE_A)), wide(WIDE_A, WIDE_B), 3, None, 2)
+    @example(wide(WIDE_A, WIDE_B), constant(Fraction(-5, WIDE_B)), 1, 0, Fraction(1, 2))
+    @example(SHALLOW, HEAVY, 2, None, Fraction(7, 3))
+    @example(HEAVY, SHALLOW, 3, 2, -1)
     def test_arithmetic(self, p, q, power, cap, scalar):
         for result in [p + q, p - q, -p, p * q, p ** power, p.truncated(cap),
                        p + scalar, scalar - p, scalar * p, p * Fraction(1, 2)]:

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import charclass
-from charclass import surface, threefold
+from charclass import presets, surface, tables, threefold
 from charclass.algebra import (
     TARGET_HYPERPLANE_VAR,
     ExponentOverflowError,
@@ -335,6 +335,11 @@ class TestDerive:
         code, out, _ = run(["derive", "--kind", "surface", "--character", "mu0"])
         assert code == 0 and out.startswith("mu0 = d\n")
 
+    def test_unknown_character_runs_no_pipeline(self, monkeypatch):
+        monkeypatch.setattr(threefold, "threefold_characters", None)
+        code, _, err = run(["derive", "--kind", "threefold", "--character", "T"])
+        assert code == 2 and err.startswith("error: unknown character 'T' for kind 'threefold'")
+
     def test_unknown_character(self):
         code, _, err = run(["derive", "--kind", "surface", "--character", "nope"])
         assert code == 2 and "unknown character" in err
@@ -361,6 +366,17 @@ class TestPreset:
     def test_degree_required(self):
         code, _, err = run(["preset", "smooth-surface"])
         assert code == 2 and "--degree" in err
+
+    def test_input_checks_run_before_the_engine(self, monkeypatch):
+        def broken(*args):
+            raise ValueError("engine fault")
+
+        monkeypatch.setattr(presets, "hypersurface_xi", broken)
+        code, out, err = run(["preset", "smooth-surface"])
+        assert (code, out, err) == (2, "", "error: preset 'smooth-surface' needs --degree\n")
+        # with the checks passed, a ValueError of the engine is the engine's
+        code, out, err = run(["preset", "smooth-surface", "--degree", "3"])
+        assert (code, out, err) == (3, "", "internal error: ValueError: engine fault\n")
 
     @pytest.mark.parametrize("preset, kind", [("smooth-surface", "surface"),
                                                ("smooth-threefold", "threefold")])
@@ -436,7 +452,7 @@ class TestExitCodes:
                        "no pushforward image for Chern monomial (1,)\n")
 
     @pytest.mark.parametrize("fault", [KeyError, TypeError, ValueError, ZeroDivisionError,
-                                       AttributeError])
+                                       AttributeError, OSError])
     def test_unexpected_exception_is_3(self, monkeypatch, fault):
         # a bug of any other type is still the engine's, never a verification failure
         def broken(ctx):
@@ -446,6 +462,33 @@ class TestExitCodes:
         code, out, err = run(["surface"], stdin_text=ROMAN_DOC)
         assert (code, out) == (3, "")
         assert err == f"internal error: {fault.__name__}: {fault('engine fault')}\n"
+
+    def test_missing_catalogue_is_3(self, monkeypatch, tmp_path):
+        # the catalogue ships with the package: failing to read it is no input fault
+        monkeypatch.setattr(tables, "_DATA_FILE", str(tmp_path / "absent.tab"))
+        monkeypatch.setattr(tables, "_REGISTRY", None)
+        monkeypatch.setattr(tables, "_SERIES", {})
+        code, out, err = run(["verify", "--suite", "tables"])
+        assert (code, out) == (3, "")
+        assert err.startswith("internal error: FileNotFoundError: [Errno 2]")
+
+
+# a large output breaks while it is printed, a small one at the final flush
+@pytest.mark.parametrize("argv", [["verify", "--json"], ["preset", "roman-surface"]])
+def test_closed_stdout_exits_141_quietly(argv):
+    # a reader that stops early, as in `charclass verify --json | head -1`
+    src = str(Path(charclass.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "charclass", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, "")
 
 
 @pytest.mark.parametrize("module", ["charclass", "charclass.cli"])

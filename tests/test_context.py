@@ -231,7 +231,7 @@ class TestEvaluate:
     def test_double_point_class_on_smooth_threefold(self):
         # the class vanishes identically once the adjunction tangent classes
         # are substituted in: c1(f) reduces to d*at, the pullback of s0
-        from charclass.presets import hypersurface_tangent_images
+        from conftest import hypersurface_tangent_images
 
         ctx = smooth_threefold_context()  # symbolic degree
         double = ctx.evaluate(tables.thom_polynomial("A0^2", 1))
@@ -515,7 +515,7 @@ class TestSmoothSurfaceAdjunction:
             "5", "-5", "5", "55"]
 
     def test_embedding_has_no_double_points(self):
-        from charclass.presets import hypersurface_tangent_images
+        from conftest import hypersurface_tangent_images
 
         ctx = smooth_surface_context()  # symbolic degree
         double = ctx.evaluate(tables.thom_polynomial("A0^2", 1))

@@ -206,7 +206,7 @@ class TestDoubleLocus:
 
     def test_smooth_hypersurface_vanishes(self):
         from charclass.algebra import substitute
-        from charclass.presets import hypersurface_tangent_images
+        from conftest import hypersurface_tangent_images
 
         ctx = smooth_threefold_context()
         data = double_locus_calculus(ctx)

@@ -1,14 +1,23 @@
 """Alternating parent/change runs of the charclass benchmark, summarised per metric.
 
     python3 tools/bench_pairs.py PARENT CHANGE --seeds 81 82 83 84 85 --seconds 35 \
-        --claim symbolic-families:ops_per_s:1.2 > BENCH_<n>.json
+        --claim symbolic-families:ops_per_s:1.2 --out BENCH_<n>.json
 
 PARENT and CHANGE are source checkouts (each with ``perfbench/run.py``).  For
-every workload of ``BENCHMARK.json`` and every seed (default 1 to 10), one pair
+every seed (default 1 to 10) and every workload of ``BENCHMARK.json``, one pair
 runs ``perfbench/run.py`` on both checkouts back to back; which side runs first
-flips from pair to pair.  Every run starts in a fresh copy of its tree with
+flips from pair to pair.  The order is seed-major: pair i runs on every
+workload before pair i + 1, so a series cut short has the same depth on every
+workload.  Every run starts in a fresh copy of its tree with
 ``PYTHONDONTWRITEBYTECODE=1``, so both sides compile their sources in every
 process, as a fresh checkout does.
+
+``--out FILE`` rewrites FILE after every finished pair of runs, so a series
+that is stopped keeps what it measured: the pairs so far, the summaries over
+them, ``"complete": false`` and a ``"status"`` reading "incomplete, k of n
+pairs", where k counts the pairs finished on every workload.  An incomplete
+series never reports a claim as met.  After the first pair has run on every
+workload, the projected wall time of the series goes to standard error.
 
 The JSON printed has every run (``pairs``) and, per workload and end-to-end
 metric of ``BENCHMARK.json``: inclusive-method quartiles of each side, the
@@ -35,6 +44,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 SIDES = ("parent", "change")
@@ -123,6 +133,28 @@ def commit_of(checkout: Path) -> str | None:
     return proc.stdout.strip() or None
 
 
+def update(doc: dict, spec: dict, claim: str | None, planned: int) -> None:
+    """Recompute the summaries, the status and the claim over the pairs so far."""
+    done = min(len(pairs) for pairs in doc["pairs"].values())
+    doc["complete"] = done == planned
+    doc["status"] = "complete" if doc["complete"] else f"incomplete, {done} of {planned} pairs"
+    for workload, pairs in doc["pairs"].items():
+        rows = {m["name"]: summarise(pairs, m) for m in spec["end_to_end"]}
+        doc["summary"][workload] = {"pairs": len(pairs),
+                                    **{k: v for k, v in rows.items() if v is not None}}
+    if claim:
+        doc["claim"] = claim_verdict(doc["summary"], spec["end_to_end"], claim)
+        if not doc["complete"]:
+            doc["claim"].update(met=False, verdict=doc["status"])
+
+
+def write_record(path: Path, doc: dict) -> None:
+    """Replace ``path`` in one step, so a stopped series never leaves half a file."""
+    part = path.with_name(path.name + ".part")
+    part.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+    os.replace(part, path)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
@@ -132,6 +164,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=35)
     parser.add_argument("--claim", help="WORKLOAD:METRIC:FACTOR, e.g. numeric-batch:ops_per_s:1.2")
     parser.add_argument("--about", default="")
+    parser.add_argument("--out", type=Path, help="rewrite this JSON record after every pair")
     args = parser.parse_args(argv)
 
     spec = json.loads((args.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
@@ -144,26 +177,29 @@ def main(argv=None) -> int:
         "host": {"python": platform.python_version(), "machine": platform.machine(),
                  "cpus": os.cpu_count(), "system": platform.system()},
         "seeds": {w: args.seeds for w in workloads},
-        "summary": {}, "pairs": {},
+        "complete": False, "status": "", "summary": {}, "pairs": {w: [] for w in workloads},
     }
     ok = True
-    for workload in workloads:
-        pairs = doc["pairs"][workload] = []
-        for i, seed in enumerate(args.seeds):
-            order = SIDES if i % 2 == 0 else SIDES[::-1]
+    started = time.monotonic()
+    for i, seed in enumerate(args.seeds):
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        for workload in workloads:
             pair = {"pair": i, "seed": seed, "first": order[0]}
             for side in order:
                 pair[side] = run_once(getattr(args, side), workload, seed, args.seconds)
                 ok &= pair[side]["exit"] == 0 and pair[side]["correct"] is True
-            pairs.append(pair)
+            doc["pairs"][workload].append(pair)
             print(f"{workload} pair {i} seed {seed}: " + ", ".join(
                 f"{side} {pair[side].get('ops_per_s', float('nan')):.2f} ops/s" for side in SIDES),
                 file=sys.stderr)
-        rows = {m["name"]: summarise(pairs, m) for m in spec["end_to_end"]}
-        doc["summary"][workload] = {"pairs": len(pairs),
-                                    **{k: v for k, v in rows.items() if v is not None}}
-    if args.claim:
-        doc["claim"] = claim_verdict(doc["summary"], spec["end_to_end"], args.claim)
+            update(doc, spec, args.claim, len(args.seeds))
+            if args.out:
+                write_record(args.out, doc)
+        if i == 0:
+            took = time.monotonic() - started
+            print(f"one pair on every workload took {took:.0f} s; the series of "
+                  f"{len(args.seeds)} pairs should take about {took * len(args.seeds) / 60:.1f} min",
+                  file=sys.stderr)
     sys.stdout.write(json.dumps(doc, indent=1) + "\n")
     return 0 if ok else 1
 
