@@ -24,12 +24,19 @@ the input is read (the document, its file, the preset name and degree, the
 character ``derive`` names) before any engine work; any other exception is
 the engine's and prints as ``internal error: <type>: <message>``.
 
+Numeric ``surface`` and ``threefold`` documents and ``invert`` run on the
+compiled character forms (:mod:`charclass.forms`) and never load the
+engine; symbolic documents, ``verify``, ``derive`` and ``preset`` run the
+pipeline.  Importing this module registers the engine modules to load on
+first use, so a numeric run compiles none of them.
+
 Run as ``charclass``, ``python -m charclass`` or ``python -m charclass.cli``.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import re
@@ -37,16 +44,39 @@ import sys
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from . import presets, surface, tables, threefold
-from .context import MapContext, SYMBOLIC, make_context
+from . import forms, formulas
+from .formulas import SURFACE_KEYS, THREEFOLD_KEYS
 from .report import Check, all_passed
 
-SURFACE_KEYS = ["d", "xi1", "xi2", "xi01"]
-THREEFOLD_KEYS = ["d", "xi1", "xi2", "xi01", "xi3", "xi11", "xi001"]
+
+def _on_first_use(name: str):
+    """The module ``charclass.<name>``, registered in ``sys.modules`` and
+    executed when one of its attributes is first read."""
+    fullname = f"{__package__}.{name}"
+    if fullname not in sys.modules:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return sys.modules[fullname]
+
+
+# The engine.  Every module is registered now, so tools that look the engine
+# up in sys.modules after importing this module (the benchmark's tracer) find
+# it; the numeric paths never read an attribute of one.
+algebra, context, presets, surface, tables, threefold = map(
+    _on_first_use, ["algebra", "context", "presets", "surface", "tables", "threefold"])
+
+SYMBOLIC = "symbolic"  # the chern_data of a symbolic document, as context.SYMBOLIC
 SURFACE_CHARACTER_KEYS = ["d", "eps0", "C", "T"]
 THREEFOLD_CHARACTER_KEYS = ["d", "mu0", "t", "q", "s_t", "gamma", "chi_C"]
 
-_RATIONAL_RE = re.compile(r"^-?\d+(?:/[1-9]\d*)?$")
+# ASCII digits only: ``\d`` also takes other scripts' digits, and ``$`` a
+# trailing newline
+_RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[1-9][0-9]*)?")
+_DEGREE_RE = re.compile(r"-?[0-9]+")
 
 # Every printed number (a character, a residual, a check detail) is a
 # polynomial of total degree at most 4 in the entries of one document, with
@@ -66,11 +96,11 @@ class InputDocument(NamedTuple):
     kind: str  # "surface" | "threefold"
     chern_data: object  # dict[str, Fraction] or the string "symbolic"
 
-    def to_context(self) -> MapContext:
+    def to_context(self):
+        """The engine context of a symbolic document; numeric documents are
+        evaluated from the compiled forms instead."""
         dims = (2, 3) if self.kind == "surface" else (3, 4)
-        if self.chern_data == SYMBOLIC:
-            return make_context(*dims, SYMBOLIC)
-        return make_context(*dims, dict(self.chern_data))
+        return context.make_context(*dims, context.SYMBOLIC)
 
     def echo(self) -> dict:
         if self.chern_data == SYMBOLIC:
@@ -86,7 +116,7 @@ def _parse_rational(value, path: str) -> Fraction:
         raise InputError(
             f"{path}: rationals must be strings like \"3\" or \"-1/2\", got {value!r}"
         )
-    if not _RATIONAL_RE.match(value):
+    if not _RATIONAL_RE.fullmatch(value):
         raise InputError(f"{path}: malformed rational {value!r}")
     digits = len(value) - value.count("-") - value.count("/")
     if digits > MAX_RATIONAL_DIGITS:
@@ -204,6 +234,18 @@ def _read_input(args, stdin) -> str:
         raise InputError(str(exc)) from None
 
 
+def _read_degree(text: str | None) -> int | None:
+    """``--degree`` as an int: ASCII digits with an optional minus sign."""
+    if text is None:
+        return None
+    if _DEGREE_RE.fullmatch(text):
+        try:
+            return int(text)
+        except ValueError:  # beyond the digits int() converts; out of range anyway
+            pass
+    raise InputError(presets.DEGREE_ERROR)
+
+
 # ---------------------------------------------------------------------------
 # verification suites
 
@@ -214,15 +256,19 @@ def _suite(name: str) -> list:
         checks.extend(tables.golden_roundtrip())
         checks.extend(tables.validate_tables())
     if name in ("all", "surface"):
-        checks.extend(surface.verify_surface_relations(make_context(2, 3, SYMBOLIC)))
+        surface_ctx = context.make_context(2, 3, context.SYMBOLIC)
+        checks.extend(surface.verify_surface_relations(surface_ctx))
         checks.extend(surface.verify_surface_relations(presets.roman_surface_context()))
         checks.extend(surface.verify_surface_relations(presets.smooth_surface_context(5)))
         checks.extend(surface.surface_typo_diagnostics())
     if name in ("all", "threefold"):
-        checks.extend(threefold.verify_threefold_identities(make_context(3, 4, SYMBOLIC)))
+        threefold_ctx = context.make_context(3, 4, context.SYMBOLIC)
+        checks.extend(threefold.verify_threefold_identities(threefold_ctx))
         checks.extend(threefold.verify_threefold_identities(presets.veronese_threefold_context()))
         checks.extend(threefold.verify_threefold_identities(presets.smooth_threefold_context(3)))
         checks.extend(threefold.threefold_typo_diagnostics())
+    if name == "all":  # on the symbolic characters computed above
+        checks.append(forms.forms_check(surface_ctx, threefold_ctx))
     return checks
 
 
@@ -263,20 +309,21 @@ THREEFOLD_PROVENANCE = {
 
 def _derive(kind: str, character: str):
     if kind == "surface":
-        names, provenance = surface.SurfaceCharacters._fields, SURFACE_PROVENANCE
+        names, provenance = formulas.SurfaceCharacters._fields, SURFACE_PROVENANCE
         # the degree is mu0 among the surface characters but d in the 3-fold's
         character = "mu0" if character == "d" else character
     else:
-        names, provenance = threefold.ThreefoldCharacters._fields, THREEFOLD_PROVENANCE
+        names, provenance = formulas.ThreefoldCharacters._fields, THREEFOLD_PROVENANCE
     if character not in names:
         raise InputError(
             f"unknown character {character!r} for kind {kind!r}; "
             f"choose from {', '.join(names)}"
         )
+    doc = InputDocument(kind, SYMBOLIC)
     if kind == "surface":
-        chars = surface.surface_characters(make_context(2, 3, SYMBOLIC))
+        chars = surface.surface_characters(doc.to_context())
     else:
-        chars = threefold.threefold_characters(make_context(3, 4, SYMBOLIC))
+        chars = threefold.threefold_characters(doc.to_context())
     return getattr(chars, character), provenance[character]
 
 
@@ -312,7 +359,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("preset", help="list presets or print one as an input document")
     p.add_argument("name", nargs="?", help="preset name; omit to list")
-    p.add_argument("--degree", type=int, help="degree for the smooth presets")
+    p.add_argument("--degree", help="degree for the smooth presets")
     return parser
 
 
@@ -333,22 +380,25 @@ def run_command(argv: Sequence[str] | None = None, stdin=None, stdout=None, stde
                 raise InputError(
                     f"$.kind: document says {doc.kind!r} but the command is {args.command!r}"
                 )
-            ctx = doc.to_context()
-            if args.command == "surface":
-                characters = surface.surface_characters(ctx)._asdict()
+            if doc.chern_data != SYMBOLIC:
+                characters, checks = forms.numeric_result(doc.kind, doc.chern_data)
+            elif args.command == "surface":
+                ctx = doc.to_context()
+                characters = surface.surface_characters(ctx)
                 checks = surface.verify_surface_relations(ctx)
             else:
-                characters = threefold.threefold_characters(ctx)._asdict()
+                ctx = doc.to_context()
+                characters = threefold.threefold_characters(ctx)
                 checks = threefold.verify_threefold_identities(ctx)
-            _print_result(doc, characters, checks, args.json, out)
+            _print_result(doc, characters._asdict(), checks, args.json, out)
             return 0 if all_passed(checks) else 1
 
         if args.command == "invert":
             chars = _parse_character_input(_read_input(args, stdin), args.kind)
             if args.kind == "surface":
-                keys, values = SURFACE_KEYS, surface.surface_invert(**chars)
+                keys, values = SURFACE_KEYS, formulas.surface_invert(**chars)
             else:
-                keys, values = THREEFOLD_KEYS, threefold.threefold_invert(**chars)
+                keys, values = THREEFOLD_KEYS, formulas.threefold_invert(**chars)
             table = {"d": str(chars["d"])}
             table.update({k: str(v) for k, v in zip(keys[1:], values)})
             if args.json:
@@ -392,11 +442,12 @@ def run_command(argv: Sequence[str] | None = None, stdin=None, stdout=None, stde
                     suffix = " --degree D" if needs_degree else ""
                     print(f"{name}{suffix}  ({kind})", file=out)
                 return 0
+            degree = _read_degree(args.degree)
             try:
-                presets.check_preset(args.name, args.degree, document=True)
+                presets.check_preset(args.name, degree, document=True)
             except ValueError as exc:  # an unknown name or a bad --degree
                 raise InputError(str(exc)) from None
-            print(json.dumps(presets.preset_document(args.name, args.degree), indent=2), file=out)
+            print(json.dumps(presets.preset_document(args.name, degree), indent=2), file=out)
             return 0
 
         raise InputError(f"unknown command {args.command!r}")

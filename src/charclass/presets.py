@@ -117,6 +117,7 @@ PRESETS = {
 # degree below 10^37 keeps every entry within the 150 digits an input document
 # may hold; every document ``preset`` prints then reads back in.
 MAX_DEGREE_DIGITS = 37
+DEGREE_ERROR = f"--degree must be a positive integer of at most {MAX_DEGREE_DIGITS} digits"
 
 
 def preset_names() -> list:
@@ -140,7 +141,7 @@ def check_preset(name: str, degree=None, document: bool = False) -> tuple:
         if document:
             raise ValueError(f"preset {name!r} needs --degree")
     elif not 1 <= degree < 10 ** MAX_DEGREE_DIGITS:
-        raise ValueError(f"--degree must be a positive integer of at most {MAX_DEGREE_DIGITS} digits")
+        raise ValueError(DEGREE_ERROR)
     return kind, builder, needs_degree
 
 

@@ -11,38 +11,13 @@ critical curve and the double curve come from the truncated Euler series.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import NamedTuple
-
 from . import tables
 from .algebra import TARGET_HYPERPLANE_VAR, hyperplane_coefficient
-from .context import SYMBOLIC, MapContext, Scalar, make_context, require_dims
-from .report import Check, identities, integrality, numbers
-
-
-class SurfaceCharacters(NamedTuple):
-    """The nine characters plus the two Euler characteristics behind them.
-
-    ``mu0`` degree, ``mu1`` rank, ``mu2`` class, ``kappa_cusps`` cusps of a
-    generic plane projection, ``eps0``/``eps1`` degree and rank of the double
-    curve, ``rho`` class of immersion of the double curve, ``C`` crosscaps,
-    ``T`` triple points.
-    """
-
-    mu0: Scalar
-    mu1: Scalar
-    mu2: Scalar
-    kappa_cusps: Scalar
-    eps0: Scalar
-    eps1: Scalar
-    rho: Scalar
-    C: Scalar
-    T: Scalar
-    chi_critical_curve: Scalar
-    chi_double_curve: Scalar
-
-    def as_dict(self) -> dict:
-        return self._asdict()
+from .context import SYMBOLIC, MapContext, make_context, require_dims
+from .formulas import (  # the inversion is traced here, under its engine name
+    SurfaceCharacters, surface_integrality, surface_invert, surface_rows,
+)
+from .report import Check, identities, numbers
 
 
 def surface_characters(ctx: MapContext) -> SurfaceCharacters:
@@ -93,19 +68,6 @@ def _surface_pipeline(ctx: MapContext) -> SurfaceCharacters:
     )
 
 
-def surface_invert(d, eps0, C, T) -> tuple:
-    """Solve the degree table from (d, eps0, C, T).
-
-    Exact inversion of the degree/crosscap/triple-point formulas; returns
-    (xi1, xi2, xi01) as computed from the arguments: plain exact numbers for
-    plain numbers, scalar polynomials for polynomials.
-    """
-    xi1 = d * (4 - d) + 2 * eps0
-    xi2 = d * (d - 4) ** 2 + (16 - 3 * d) * eps0 + 3 * T - C
-    xi01 = d * (d ** 2 - 4 * d + 6) + (8 - 3 * d) * eps0 + 3 * T - 2 * C
-    return xi1, xi2, xi01
-
-
 def verify_surface_relations(ctx: MapContext) -> list:
     """The five classical relations plus the birational-invariant checks.
 
@@ -117,63 +79,12 @@ def verify_surface_relations(ctx: MapContext) -> list:
     """
     require_dims(ctx, (2, 3), "surface")
     v = surface_characters(ctx)
-    xi = [ctx.xi_scalar(index) for index in ((1,), (2,), (0, 1))]
+    xi = [ctx.xi_scalar(index) for index in ((), (1,), (2,), (0, 1))]
     if ctx.is_numeric():
         v, xi = v._make(numbers(v)), numbers(xi)
-    x1, x2, x01 = xi
-    d = v.mu0
-    checks = identities("surface/relation", [
-        ("i: d(d-1) = mu1 + 2 eps0", d * (d - 1), v.mu1 + 2 * v.eps0),
-        ("ii: mu1(d-2) = kappa + rho", v.mu1 * (d - 2), v.kappa_cusps + v.rho),
-        ("iii: eps0(d-2) = rho + 3T", v.eps0 * (d - 2), v.rho + 3 * v.T),
-        ("iv: 2rho - 2eps1 = C", 2 * v.rho - 2 * v.eps1, v.C),
-        ("v: mu2 + 2C = mu1 + kappa", v.mu2 + 2 * v.C, v.mu1 + v.kappa_cusps),
-    ])
-    checks += identities("surface/pipeline", [
-        ("riemann-hurwitz: mu2 + kappa = 2 mu1 - chi(S(g))",
-         v.mu2 + v.kappa_cusps, 2 * v.mu1 - v.chi_critical_curve),
-    ])
-
-    # birational invariants from the elementary characters
-    omega = v.mu2 - 6 * v.mu1 + 9 * v.mu0 + v.C + 1
-    zeuthen_segre = v.mu2 - 2 * v.mu1 + 3 * v.mu0 - 4
-    checks += identities("surface/invariant", [
-        ("omega = xi2 + 1", omega, x2 + 1),
-        ("zeuthen_segre = xi01 - 4", zeuthen_segre, x01 - 4),
-        ("omega + zeuthen_segre = xi2 + xi01 - 3", omega + zeuthen_segre, x2 + x01 - 3),
-    ])
-
-    # round trip through the inversion formulas
-    inverted = surface_invert(d, v.eps0, v.C, v.T)
-    checks += identities("surface/roundtrip", zip(("xi1", "xi2", "xi01"), inverted, (x1, x2, x01)))
-
-    # engine output against the classical closed forms
-    half, third, sixth = Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)
-    checks += identities("surface/closed-form", [
-        ("C", v.C, 6 * d - 4 * x1 + x2 - x01),
-        ("T", v.T, sixth * (44 * d - 12 * d ** 2 + d ** 3 + (3 * d - 24) * x1 + 4 * x2 - 2 * x01)),
-        ("eps0", v.eps0, half * (d ** 2 - 4 * d + x1)),
-        ("mu1", v.mu1, 3 * d - x1),
-        ("mu1/elementary", v.mu1, d * (d - 1) - 2 * v.eps0),
-        ("kappa_cusps", v.kappa_cusps, 12 * d - 9 * x1 + 2 * x2 - x01),
-        ("kappa_cusps/elementary", v.kappa_cusps, d * (d - 1) * (d - 2) + (6 - 3 * d) * v.eps0 + 3 * v.T),
-        ("mu2", v.mu2, 3 * d - 2 * x1 + x01),
-        ("mu2/elementary", v.mu2, d * (d - 1) ** 2 + (4 - 3 * d) * v.eps0 + 3 * v.T - 2 * v.C),
-        ("chi_critical_curve", v.chi_critical_curve, -9 * d + 9 * x1 - 2 * x2),
-        ("chi_double_curve", v.chi_double_curve,
-         third * (7 * d + 6 * d ** 2 - d ** 3 - Fraction(5, 2) * x01 - 12 * x1
-                  + Fraction(7, 2) * x2)),
-        ("chi_double_curve/elementary", v.chi_double_curve, (4 - d) * v.eps0 + v.T + half * v.C),
-        ("rho/elementary", v.rho, (d - 2) * v.eps0 - 3 * v.T),
-        ("eps1", v.eps1,
-         3 * d ** 2 - 21 * d + (13 - d) * x1 + Fraction(3, 2) * x01 - Fraction(5, 2) * x2),
-        ("eps1/elementary", v.eps1, (d - 2) * v.eps0 - 3 * v.T - half * v.C),
-    ])
+    checks = surface_rows(v, xi)
     if ctx.is_numeric():
-        values = v._asdict()
-        checks += integrality("surface/integrality", values,
-                              ["C", "T", "eps0", "mu1", "mu2", "kappa_cusps"], True)
-        checks += integrality("surface/integrality", values, ["rho", "eps1"], False)
+        checks += surface_integrality(v)
     return checks
 
 

@@ -18,7 +18,6 @@ relating them to the multiple-point classes of f.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
@@ -35,29 +34,10 @@ from .algebra import (
 from .context import (
     SYMBOLIC, MapContext, Scalar, make_context, quotient_chern_classes, require_dims, shared,
 )
-from .report import Check, identities, integrality, numbers
-
-
-class ThreefoldCharacters(NamedTuple):
-    """Basic, elementary and derived characters of a singular 3-fold."""
-
-    d: Scalar
-    mu0: Scalar
-    t: Scalar
-    q: Scalar
-    s_t: Scalar
-    gamma: Scalar
-    chi_C: Scalar
-    m1: Scalar
-    m2: Scalar
-    m3: Scalar
-    K_dot_S: Scalar
-    D_swallowtail: Scalar
-    B_plus_D: Scalar
-    total_polar: Scalar
-
-    def as_dict(self) -> dict:
-        return self._asdict()
+from .formulas import (  # the inversion is traced here, under its engine name
+    ThreefoldCharacters, threefold_integrality, threefold_invert, threefold_rows,
+)
+from .report import Check, identities, numbers
 
 
 def _gysin_push(y: GradedPolynomial, table: Mapping, cap: int) -> GradedPolynomial:
@@ -130,36 +110,6 @@ def threefold_basic(ctx: MapContext) -> tuple:
     s_t = ctx.integrate(ctx.evaluate(tp("A0A1", 1)))
     chi_C = ctx.weighted_euler(tables.ssm_series("A1", 1))
     return mu0, t, gamma, q, s_t, chi_C
-
-
-def threefold_invert(d, mu0, t, q, s_t, gamma, chi_C) -> tuple:
-    """Chern degrees of the normalization from the seven basic characters.
-
-    Exact evaluation of the inversion polynomials; returns (xi1, xi2, xi01,
-    xi3, xi11, xi001) as computed from the arguments: plain exact numbers
-    for plain numbers, scalar polynomials for polynomials.
-    """
-    half = Fraction(1, 2)
-    xi1 = 5 * d - d ** 2 + 2 * mu0
-    xi2 = 25 * d - 10 * d ** 2 + d ** 3 + (20 - 3 * d) * mu0 + 3 * t - gamma
-    xi01 = 10 * d - 5 * d ** 2 + d ** 3 + (10 - 3 * d) * mu0 + 3 * t - 2 * gamma
-    xi3 = (
-        125 * d - 75 * d ** 2 + 15 * d ** 3 - d ** 4
-        + (150 - 45 * d + 4 * d ** 2 - 2 * mu0) * mu0
-        + 4 * q - half * s_t + (45 - 4 * d) * t + (half * d - 10) * gamma - chi_C
-    )
-    xi11 = (
-        50 * d - 35 * d ** 2 + 10 * d ** 3 - d ** 4
-        + (70 - 30 * d + 4 * d ** 2 - 2 * mu0) * mu0
-        + 4 * q + (30 - 4 * d) * t - 5 * gamma - 2 * chi_C
-    )
-    xi001 = (
-        10 * d - 10 * d ** 2 + 5 * d ** 3 - d ** 4
-        + (20 - 15 * d + 4 * d ** 2 - 2 * mu0) * mu0
-        + 4 * q + 3 * half * s_t + (15 - 4 * d) * t + (10 - 3 * half * d) * gamma
-        - 4 * chi_C
-    )
-    return xi1, xi2, xi01, xi3, xi11, xi001
 
 
 def elementary_characters(ctx: MapContext) -> tuple:
@@ -302,43 +252,16 @@ def verify_threefold_identities(ctx: MapContext) -> list:
     xi = _xi7(ctx)
     if ctx.is_numeric():
         v, xi = v._make(numbers(v)), numbers(xi)
-    d, x1, x2, x01, x3, x11, x001 = xi
-    half, third, quarter = Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)
+    checks = threefold_rows(v, xi) + double_locus_rows(ctx)
+    if ctx.is_numeric():
+        checks += threefold_integrality(v)
+    return checks
 
-    checks = identities("threefold/closed-form", [
-        ("mu0", v.mu0, half * (-5 * d + d ** 2 + x1)),
-        ("t", v.t,
-         third * (35 * d - Fraction(15, 2) * d ** 2 + half * d ** 3 - x01 - 15 * x1
-                  + Fraction(3, 2) * d * x1 + 2 * x2)),
-        ("gamma", v.gamma, 10 * d - x01 - 5 * x1 + x2),
-        ("q", v.q,
-         quarter * (-295 * d + Fraction(355, 6) * d ** 2 - 5 * d ** 3 + Fraction(1, 6) * d ** 4
-                    + 2 * x001 + (25 - Fraction(4, 3) * d) * x01
-                    + (200 - 25 * d + d ** 2) * x1 + half * x1 ** 2 - 7 * x11
-                    + (-55 + Fraction(8, 3) * d) * x2 + 6 * x3)),
-        ("s_t", v.s_t,
-         -120 * d + 10 * d ** 2 + 2 * x001 + (20 - d) * x01 + (90 - 5 * d) * x1
-         - 6 * x11 + (d - 30) * x2 + 4 * x3),
-        ("chi_C", v.chi_C,
-         -60 * d + x001 + 10 * x01 + 55 * x1 - 4 * x11 - 20 * x2 + 3 * x3),
-        ("m1", v.m1, 4 * d - x1),
-        ("m1/elementary", v.m1, d * (d - 1) - 2 * v.mu0),
-        ("m2/elementary", v.m2, d * (d - 1) ** 2 + (4 - 3 * d) * v.mu0 + 3 * v.t - 2 * v.gamma),
-        ("m3/elementary", v.m3,
-         d * (d - 1) ** 3 + (-6 + 9 * d - 4 * d ** 2 + 2 * v.mu0) * v.mu0 - 4 * v.q
-         - Fraction(3, 2) * v.s_t + (4 * d - 9) * v.t + (Fraction(3, 2) * d - 14) * v.gamma
-         + 4 * v.chi_C),
-        ("K_dot_S", v.K_dot_S, -10 * x1 + x11 + 5 * x2 - x3),
-        ("K_dot_S/characters", v.K_dot_S, half * v.s_t - half * d * v.gamma - v.chi_C),
-    ])
 
-    # inversion round trip: characters back to the Chern degrees
-    inverted = threefold_invert(d, v.mu0, v.t, v.q, v.s_t, v.gamma, v.chi_C)
-    checks += identities("threefold/roundtrip", zip(
-        ("xi1", "xi2", "xi01", "xi3", "xi11", "xi001"), inverted, (x1, x2, x01, x3, x11, x001)))
-
-    # double-locus consistency: the solved classes rebuild the multiple-point
-    # classes they came from
+def double_locus_rows(ctx: MapContext) -> list:
+    """The solved double-locus classes rebuild the multiple-point classes
+    they came from: identities in the source ring of ``ctx``."""
+    require_dims(ctx, (3, 4), "threefold")
     data = double_locus_calculus(ctx)
     c1 = atom(source_chern(1))
     c2 = atom(source_chern(2))
@@ -346,21 +269,12 @@ def verify_threefold_identities(ctx: MapContext) -> list:
     s1 = c1 * s0 - data.first_chern
     s2 = c1 ** 2 * s0 - 2 * c1 * data.first_chern + data.first_chern_square
     s01 = c2 * s0 - c1 * data.first_chern + data.first_chern_square - data.second_chern
-    checks += identities("threefold/double-locus", [
+    return identities("threefold/double-locus", [
         ("double-points", s0 ** 2 - s1, 2 * ctx.evaluate(tables.thom_polynomial("A0^3", 1))),
         ("triple-points", (s0 ** 3 - 3 * s0 * s1 + 2 * s2 + 2 * s01) / 2,
          3 * ctx.evaluate(tables.thom_polynomial("A0^4", 1))),
         ("crosscaps", s01, ctx.evaluate(tables.thom_polynomial("A0A1", 1))),
     ])
-
-    if ctx.is_numeric():
-        checks += integrality("threefold/integrality", v._asdict(),
-                              ["d", "mu0", "t", "q", "s_t", "gamma", "m1", "m2", "m3",
-                               "D_swallowtail", "B_plus_D", "total_polar"], True)
-        # an exact rational x is an even integer exactly when x % 2 == 0
-        checks.append(Check(name="threefold/parity/chi_C-even", passed=v.chi_C % 2 == 0,
-                            detail=f"value {v.chi_C}"))
-    return checks
 
 
 def threefold_typo_diagnostics() -> list:

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import charclass
-from charclass import presets, surface, tables, threefold
+from charclass import forms, presets, surface, tables, threefold
 from charclass.algebra import (
     TARGET_HYPERPLANE_VAR,
     ExponentOverflowError,
@@ -53,6 +53,9 @@ VERONESE_DOC = json.dumps(
 ROMAN_DOC = json.dumps(
     {"kind": "surface", "chern_data": {"d": "4", "xi1": "6", "xi2": "9", "xi01": "3"}}
 )
+
+# numeric documents take the compiled forms; a symbolic one runs the engine
+SYMBOLIC_SURFACE_DOC = json.dumps({"kind": "surface", "chern_data": "symbolic"})
 
 
 def run(argv, stdin_text=""):
@@ -429,7 +432,7 @@ class TestExitCodes:
             raise fault("engine fault")
 
         monkeypatch.setattr(surface, "surface_characters", broken)
-        code, _, err = run(["surface"], stdin_text=ROMAN_DOC)
+        code, _, err = run(["surface"], stdin_text=SYMBOLIC_SURFACE_DOC)
         assert code == 3
         assert err.startswith("internal error:") and "engine fault" in err
 
@@ -437,7 +440,7 @@ class TestExitCodes:
         # a target-ring class integrated on the source is an engine bug
         monkeypatch.setattr(surface, "surface_characters",
                             lambda ctx: ctx.integrate(atom(TARGET_HYPERPLANE_VAR)))
-        code, _, err = run(["surface"], stdin_text=ROMAN_DOC)
+        code, _, err = run(["surface"], stdin_text=SYMBOLIC_SURFACE_DOC)
         assert code == 3
         assert err == ("internal error: RingMismatchError: "
                        "variable a does not belong to this ring\n")
@@ -446,7 +449,7 @@ class TestExitCodes:
         # a push table without the image a class needs is an engine bug
         monkeypatch.setattr(surface, "surface_characters",
                             lambda ctx: _gysin_push(atom(source_chern(1)), {}, 3))
-        code, _, err = run(["surface"], stdin_text=ROMAN_DOC)
+        code, _, err = run(["surface"], stdin_text=SYMBOLIC_SURFACE_DOC)
         assert code == 3
         assert err == ("internal error: RingMismatchError: "
                        "no pushforward image for Chern monomial (1,)\n")
@@ -459,9 +462,38 @@ class TestExitCodes:
             raise fault("engine fault")
 
         monkeypatch.setattr(surface, "surface_characters", broken)
-        code, out, err = run(["surface"], stdin_text=ROMAN_DOC)
+        code, out, err = run(["surface"], stdin_text=SYMBOLIC_SURFACE_DOC)
         assert (code, out) == (3, "")
         assert err == f"internal error: {fault.__name__}: {fault('engine fault')}\n"
+
+    @pytest.mark.parametrize("fault", [KeyError, TypeError, ValueError, ZeroDivisionError,
+                                       OSError])
+    def test_compiled_evaluator_fault_is_3(self, monkeypatch, fault):
+        # numeric documents run on the compiled forms: a fault there is no input fault
+        def broken(*args):
+            raise fault("evaluator fault")
+
+        monkeypatch.setattr(forms, "_value", broken)
+        for argv, doc in [(["surface"], ROMAN_DOC), (["threefold", "--json"], VERONESE_DOC)]:
+            code, out, err = run(argv, stdin_text=doc)
+            assert (code, out) == (3, "")
+            assert err == f"internal error: {fault.__name__}: {fault('evaluator fault')}\n"
+
+    @pytest.mark.parametrize("text, error", [
+        (None, "internal error: FileNotFoundError: [Errno 2]"),
+        ("{", "internal error: JSONDecodeError: "),
+        ('{"surface": {}}', "internal error: KeyError: 'keys'"),
+    ])
+    def test_missing_or_broken_forms_file_is_3(self, monkeypatch, tmp_path, text, error):
+        # the forms ship with the package, like the catalogue
+        path = tmp_path / "character_forms.json"
+        if text is not None:
+            path.write_text(text, encoding="utf-8")
+        monkeypatch.setattr(forms, "FORMS_FILE", str(path))
+        monkeypatch.setattr(forms, "_FORMS", None)
+        code, out, err = run(["threefold"], stdin_text=VERONESE_DOC)
+        assert (code, out) == (3, "")
+        assert err.startswith(error)
 
     def test_missing_catalogue_is_3(self, monkeypatch, tmp_path):
         # the catalogue ships with the package: failing to read it is no input fault
@@ -471,6 +503,26 @@ class TestExitCodes:
         code, out, err = run(["verify", "--suite", "tables"])
         assert (code, out) == (3, "")
         assert err.startswith("internal error: FileNotFoundError: [Errno 2]")
+
+
+# ``re``'s ``$`` matches before a final newline and ``\d`` takes every script's
+# digits; argparse's ``int`` takes underscores, spaces and a plus sign
+@pytest.mark.parametrize("value", ["3\n", "\u0663", "\uff14", " 3", "3 ", "+3", "1_0",
+                                   "1/\u0663", "\U0001d7d1"])
+def test_rationals_take_ascii_digits_only(value):
+    doc = {"kind": "surface", "chern_data": {"d": "4", "xi1": value, "xi2": "9", "xi01": "3"}}
+    code, out, err = run(["surface"], stdin_text=json.dumps(doc))
+    assert (code, out) == (2, "")
+    assert err == f"error: $.chern_data.xi1: malformed rational {value!r}\n"
+
+
+@pytest.mark.parametrize("degree", ["1_0", "\u0663", " 7", "7 ", "+5", "7\n", "\uff15", "",
+                                    "1" * 5000])
+def test_degree_takes_ascii_digits_only(degree):
+    code, out, err = run(["preset", "smooth-surface", "--degree", degree])
+    assert (code, out) == (2, "")
+    assert err == (f"error: --degree must be a positive integer of at most "
+                   f"{MAX_DEGREE_DIGITS} digits\n")
 
 
 # a large output breaks while it is printed, a small one at the final flush
